@@ -105,19 +105,9 @@ def roc_auc(scored: list[ScoredSample]) -> float:
     (the Mann-Whitney formulation)."""
     normal, fault = _split_scores(scored)
     pooled = np.concatenate([normal, fault])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(pooled.size, dtype=np.float64)
-    ranks[order] = np.arange(1, pooled.size + 1)
-    # average ranks over ties
-    sorted_vals = pooled[order]
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # a value held by c entries ending at sorted position e has average rank e - (c - 1) / 2
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     rank_sum_fault = ranks[normal.size :].sum()
     u = rank_sum_fault - fault.size * (fault.size + 1) / 2.0
     return float(u / (fault.size * normal.size))
@@ -132,17 +122,15 @@ def pick_threshold(scored: list[ScoredSample]) -> tuple[float, float]:
     """
     normal, fault = _split_scores(scored)
     distinct = np.unique(np.concatenate([normal, fault]))
-    candidates = [float(distinct[0]) - 1.0]
-    candidates += [float(0.5 * (a + b)) for a, b in zip(distinct[:-1], distinct[1:])]
-    candidates += [float(distinct[-1]) + 1.0]
-    total = normal.size + fault.size
-    best_thr, best_acc = candidates[0], -1.0
-    for thr in candidates:
-        correct = int((fault > thr).sum()) + int((normal <= thr).sum())
-        acc = correct / total
-        if acc > best_acc:
-            best_thr, best_acc = thr, acc
-    return best_thr, best_acc
+    candidates = np.concatenate([
+        [distinct[0] - 1.0], 0.5 * (distinct[:-1] + distinct[1:]), [distinct[-1] + 1.0],
+    ])
+    # per candidate: normals at or below it plus faults above it
+    normal_at_or_below = np.searchsorted(np.sort(normal), candidates, side="right")
+    fault_at_or_below = np.searchsorted(np.sort(fault), candidates, side="right")
+    correct = normal_at_or_below + (fault.size - fault_at_or_below)
+    best = int(np.argmax(correct))  # first maximum, i.e. the lowest threshold
+    return float(candidates[best]), int(correct[best]) / (normal.size + fault.size)
 
 
 def evaluate(state: ModelState, samples: list[Subsample], n_recon: int = 0) -> EvalReport:

@@ -30,7 +30,7 @@ from .ndtensor import (
     l1_mean,
     l2_mean,
     leaky_relu,
-    relu,
+    relu,  # unused here since the decoder fuses ReLU into batch norm; perfbench wraps model.relu by name
     sigmoid,
 )
 
@@ -86,8 +86,8 @@ class BatchNorm:
         self.momentum = momentum
         self.eps = eps
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return batchnorm1d(x, self.gamma, self.beta, self.stats, train, self.momentum, self.eps)
+    def __call__(self, x: Tensor, train: bool, slope: float | None = None) -> Tensor:
+        return batchnorm1d(x, self.gamma, self.beta, self.stats, train, self.momentum, self.eps, slope)
 
     def params(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -96,8 +96,15 @@ class BatchNorm:
         return [self.gamma.data, self.beta.data, self.stats.mean, self.stats.var]
 
 
+def _init_normal(rng, mean: float, shape) -> np.ndarray:
+    """N(mean, INIT_STD) float32 initial values; zeros when rng is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
+    return rng.normal(mean, INIT_STD, shape).astype(np.float32)
+
+
 def _init_conv(rng, shape, with_bias: bool, stride: int, padding: int, transposed=False) -> Conv:
-    kernel = Tensor(rng.normal(0.0, INIT_STD, shape).astype(np.float32), requires_grad=True)
+    kernel = Tensor(_init_normal(rng, 0.0, shape), requires_grad=True)
     n_bias = shape[1] if transposed else shape[0]
     bias = Tensor(np.zeros(n_bias, dtype=np.float32), requires_grad=True) if with_bias else None
     cls = ConvT if transposed else Conv
@@ -105,7 +112,7 @@ def _init_conv(rng, shape, with_bias: bool, stride: int, padding: int, transpose
 
 
 def _init_bn(rng, channels: int, momentum: float, eps: float) -> BatchNorm:
-    gamma = Tensor(rng.normal(1.0, INIT_STD, channels).astype(np.float32), requires_grad=True)
+    gamma = Tensor(_init_normal(rng, 1.0, channels), requires_grad=True)
     beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
     return BatchNorm(gamma, beta, momentum, eps)
 
@@ -167,9 +174,7 @@ class Encoder:
         h = x
         for conv, bn in self.stages:
             h = conv(h)
-            if bn is not None:
-                h = bn(h, train)
-            h = leaky_relu(h, LEAKY_SLOPE)
+            h = leaky_relu(h, LEAKY_SLOPE) if bn is None else bn(h, train, LEAKY_SLOPE)
         return h
 
     def params(self) -> list[Tensor]:
@@ -219,9 +224,9 @@ class Decoder:
 
     def forward(self, z: Tensor, train: bool) -> Tensor:
         h = z.reshape((z.shape[0], self.arch.latent_dim, 1))
-        h = relu(self.head_bn(self.head(h), train))
+        h = self.head_bn(self.head(h), train, 0.0)
         for conv, bn in self.stages:
-            h = relu(bn(conv(h), train))
+            h = bn(conv(h), train, 0.0)
         return self.final(h)  # plain affine output, deliberately unbounded
 
     def params(self) -> list[Tensor]:
@@ -468,11 +473,15 @@ def build_model(
     latent_dim: int,
     base_channels: int,
     n_down: int,
-    seed: int,
+    seed: int | None,
     bn_momentum: float = 0.1,
     bn_eps: float = 1e-5,
 ) -> ModelState:
-    """Seeded construction of generator + discriminator behind a pipeline."""
+    """Seeded construction of generator + discriminator behind a pipeline.
+
+    seed None zero-fills every weight instead, for a caller that overwrites
+    them all (checkpoint loading), so no random draws are wasted.
+    """
     arch = Arch(
         input_channels=pipeline.channels,
         input_len=pipeline.net_len,
@@ -482,7 +491,7 @@ def build_model(
         bn_momentum=bn_momentum,
         bn_eps=bn_eps,
     )
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     return ModelState(
         generator=Generator(arch, rng),
         discriminator=Discriminator(arch, rng),

@@ -111,11 +111,16 @@ def batchnorm1d(
     train: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    slope: float | None = None,
 ) -> Tensor:
-    """Normalize [B, C, L] per channel, then apply the gamma/beta affine.
+    """Normalize [B, C, L] per channel, apply the gamma/beta affine, then an
+    optional leaky ReLU (slope 0 is ReLU, None is no activation), as one node.
 
     Train mode normalizes with batch statistics over (B, L) and folds them
-    into the running stats; eval mode normalizes with the running stats.
+    into the running stats; eval mode normalizes with the running stats,
+    folded into one per-channel scale and shift. The backward pass is the
+    closed form of Ioffe & Szegedy (2015), so train mode saves only the
+    normalized input, the per-channel inverse std and the activation mask.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"batchnorm1d expects [B, C, L], got {x.shape}")
@@ -127,29 +132,80 @@ def batchnorm1d(
     if eps <= 0:
         raise UsageError(f"epsilon must be positive, got {eps}")
 
+    col = (1, channels, 1)
+    x_data, gamma_data = x.data, gamma.data
     if train:
-        mu = x.mean(axis=(0, 2), keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=(0, 2), keepdims=True)
+        n = x_data.size // channels
+        mu = x_data.mean(axis=(0, 2), keepdims=True)
+        xhat = x_data - mu
+        out = np.square(xhat)
+        var = out.mean(axis=(0, 2), keepdims=True)
         m = np.float32(momentum)
-        stats.mean[...] = (1 - m) * stats.mean + m * mu.data.reshape(-1)
-        stats.var[...] = (1 - m) * stats.var + m * var.data.reshape(-1)
-        normalized = (x - mu) / (var + eps).sqrt()
-    else:
-        mu = Tensor(stats.mean.reshape(1, channels, 1))
-        sd = Tensor(np.sqrt(stats.var + np.float32(eps)).reshape(1, channels, 1))
-        normalized = (x - mu) / sd
-    return normalized * gamma.reshape((1, channels, 1)) + beta.reshape((1, channels, 1))
+        stats.mean[...] = (1 - m) * stats.mean + m * mu.reshape(-1)
+        stats.var[...] = (1 - m) * stats.var + m * var.reshape(-1)
+        inv_std = 1.0 / np.sqrt(var + np.float32(eps))
+        xhat *= inv_std
+        np.multiply(xhat, gamma_data.reshape(col), out=out)
+        out += beta.data.reshape(col)
+        neg = _activate(out, slope)
+
+        def backward(g):
+            gy = _activation_grad(g, neg, slope)
+            gbeta = gy.sum(axis=(0, 2))
+            tmp = gy * xhat
+            ggamma = tmp.sum(axis=(0, 2))
+            # gx = gamma * inv_std / n * (n * gy - gbeta - xhat * ggamma), built in gy
+            np.multiply(xhat, ggamma.reshape(col), out=tmp)
+            tmp += gbeta.reshape(col)
+            gy *= n
+            gy -= tmp
+            gy *= gamma_data.reshape(col) * inv_std / n
+            return gy, ggamma, gbeta
+
+        return _make(out, (x, gamma, beta), backward)
+
+    mean = stats.mean.reshape(col).copy()  # a later train-mode call updates stats in place
+    inv_std = 1.0 / np.sqrt(stats.var.reshape(col) + np.float32(eps))
+    scale = gamma_data.reshape(col) * inv_std
+    out = x_data * scale
+    out += beta.data.reshape(col) - mean * scale
+    neg = _activate(out, slope)
+
+    def backward(g):
+        gy = _activation_grad(g, neg, slope)
+        xhat = (x_data - mean) * inv_std
+        return gy * scale, (gy * xhat).sum(axis=(0, 2)), gy.sum(axis=(0, 2))
+
+    return _make(out, (x, gamma, beta), backward)
+
+
+def _activate(out: np.ndarray, slope: float | None) -> np.ndarray | None:
+    """Leaky ReLU in place; returns the bool mask of scaled entries (x < 0,
+    so x == 0 passes with slope 1), or None when there is no activation."""
+    if slope is None:
+        return None
+    neg = out < 0
+    np.multiply(out, slope, out=out, where=neg)
+    return neg
+
+
+def _activation_grad(g: np.ndarray, neg: np.ndarray | None, slope: float | None) -> np.ndarray:
+    """A fresh copy of the incoming gradient, scaled where the forward was."""
+    gy = g.copy()
+    if neg is not None:
+        np.multiply(gy, slope, out=gy, where=neg)
+    return gy
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     """Elementwise x if x >= 0 else slope * x."""
-    x_data = x.data
-    scale = np.where(x_data >= 0, np.float32(1.0), np.float32(slope))
+    out = x.data.copy()
+    neg = _activate(out, slope)
 
     def backward(g):
-        return (g * scale,)
+        return (_activation_grad(g, neg, slope),)
 
-    return _make(x_data * scale, (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

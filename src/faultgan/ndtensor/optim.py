@@ -53,6 +53,9 @@ def init_adam(
 def adam_step(params: list[Tensor], grads: list, state: AdamState):
     """Apply one in-place Adam update; a None grad counts as zero.
 
+    Every step is an ``out=`` ufunc over the moment buffers and one scratch
+    array per parameter, so no other full-size temporary is allocated.
+
     Returns the (mutated) params and state for convenience.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
@@ -66,6 +69,7 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
     lr, eps = state.learning_rate, state.epsilon
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
+    step_scale = lr / bias1
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             g = np.zeros_like(p.data)
@@ -73,11 +77,21 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
             raise DimensionError(f"grad shape {g.shape} != param shape {p.data.shape}")
         m = state.first_moment[i]
         v = state.second_moment[i]
+        buf = np.empty_like(p.data)  # the update's only temporary
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=buf)
+        m += buf
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - b2
+        v += buf
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(m, buf, out=buf)
+        buf *= step_scale
+        p.data -= buf
     return params, state
 
 

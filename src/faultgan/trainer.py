@@ -4,7 +4,8 @@ binary checkpoint format.
 Each batch runs one generator step (weighted fraud + apparent + latent loss,
 Adam on generator parameters only) followed by one discriminator step
 (feature-matching loss on the real batch versus the detached fake, Adam on
-discriminator parameters only).
+discriminator parameters only). Both steps' losses are computed and checked
+for finiteness before either network is updated.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
             x = Tensor(inputs[idx])
 
-            # generator step: discriminator is frozen so it accumulates no grad
+            # generator forward and backward: the discriminator is frozen so
+            # it accumulates no grad
             for p in disc_params:
                 p.requires_grad = False
             for p in gen_params:
@@ -145,26 +147,26 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             l_a = apparent_loss(x, x_hat)
             l_l = latent_loss(z, z_hat)
             total = generator_loss(weights, l_f, l_a, l_l)
-            batch_losses = (total.item(), l_f.item(), l_a.item(), l_l.item())
+            gen_losses = {"total": total.item(), "l_f": l_f.item(), "l_a": l_a.item(), "l_l": l_l.item()}
+            _check_finite(epoch, b, gen_losses)
             total.backward()
-            adam_step(gen_params, [p.grad for p in gen_params], gen_opt)
             for p in disc_params:
                 p.requires_grad = True
 
-            # discriminator step on the real batch and the detached fake
+            # discriminator loss on the real batch and the detached fake; it
+            # is checked before either network is updated, so an abort leaves
+            # the parameters of the last finite batch
             for p in disc_params:
                 p.zero_grad()
             l_d = feature_matching_loss(state.discriminator, x, x_hat.detach(), train=True)
             l_d_val = l_d.item()
+            _check_finite(epoch, b, {"l_d": l_d_val})
             l_d.backward()
+
+            adam_step(gen_params, [p.grad for p in gen_params], gen_opt)
             adam_step(disc_params, [p.grad for p in disc_params], disc_opt)
 
-            values = batch_losses + (l_d_val,)
-            if not all(np.isfinite(v) for v in values):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch} batch {b}: "
-                    f"total={values[0]} l_f={values[1]} l_a={values[2]} l_l={values[3]} l_d={values[4]}"
-                )
+            values = tuple(gen_losses.values()) + (l_d_val,)
             sums += values
         means = [float(v) for v in sums / n_batches]
         epoch_rows.append(EpochStats(
@@ -185,6 +187,12 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
         checkpoint_digest=hashlib.sha256(blob).hexdigest(),
     )
     return state, report
+
+
+def _check_finite(epoch: int, batch: int, losses: dict[str, float]) -> None:
+    if not all(np.isfinite(v) for v in losses.values()):
+        detail = " ".join(f"{name}={value}" for name, value in losses.items())
+        raise NumericalError(f"non-finite loss at epoch {epoch} batch {batch}: {detail}")
 
 
 def write_train_report_csv(epochs: list[EpochStats], path) -> None:
@@ -275,7 +283,7 @@ def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
         window_len=window_len,
         n_windows=n_windows,
     )
-    state = build_model(pipeline, latent, base, n_down, seed=0,
+    state = build_model(pipeline, latent, base, n_down, seed=None,
                         bn_momentum=float(bn_momentum), bn_eps=float(bn_eps))
 
     (n_tensors,) = r.unpack("<I")

@@ -141,6 +141,44 @@ def test_threshold_classification_rule_is_strictly_greater():
     assert 0.5 <= thr < 1.5
 
 
+def _brute_auc(normal, fault):
+    wins = (fault[:, None] > normal[None, :]).sum() + 0.5 * (fault[:, None] == normal[None, :]).sum()
+    return wins / (fault.size * normal.size)
+
+
+def _brute_threshold(normal, fault):
+    """Every candidate tried in turn; a strictly better accuracy replaces the best."""
+    distinct = np.unique(np.concatenate([normal, fault]))
+    candidates = [float(distinct[0]) - 1.0]
+    candidates += [float(0.5 * (a + b)) for a, b in zip(distinct[:-1], distinct[1:])]
+    candidates += [float(distinct[-1]) + 1.0]
+    best_thr, best_acc = candidates[0], -1.0
+    for thr in candidates:
+        acc = (int((fault > thr).sum()) + int((normal <= thr).sum())) / (normal.size + fault.size)
+        if acc > best_acc:
+            best_thr, best_acc = thr, acc
+    return best_thr, best_acc
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_auc_and_threshold_match_brute_force_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    n_n, n_f = (int(v) for v in rng.integers(1, 400, size=2))
+    levels = int(rng.choice([3, 20, 1000]))  # few levels force many ties
+    normal = rng.integers(0, levels, size=n_n) / levels
+    fault = rng.integers(0, levels, size=n_f) / levels + rng.uniform(0.0, 0.5)
+    scored = _scored([("normal", float(v)) for v in normal] + [("fault", float(v)) for v in fault])
+    assert roc_auc(scored) == pytest.approx(_brute_auc(normal, fault), abs=1e-12)
+    assert pick_threshold(scored) == _brute_threshold(normal, fault)
+
+
+def test_threshold_midpoint_of_adjacent_floats():
+    # the midpoint of two adjacent doubles rounds onto one of them
+    normal, fault = np.array([1.0]), np.array([np.nextafter(1.0, 2.0)])
+    scored = _scored([("normal", float(normal[0])), ("fault", float(fault[0]))])
+    assert pick_threshold(scored) == _brute_threshold(normal, fault) == (1.0, 1.0)
+
+
 # -- score_dataset -------------------------------------------------------------------
 
 

@@ -270,6 +270,104 @@ def test_gradcheck_batchnorm(seed):
     check_grads(loss, [tx, tg, tb], lambda xv, gv, bv: reference(xv, gv, bv).sum(), [x, gamma, beta])
 
 
+def _unfused_batchnorm(x, gamma, beta, stats, train, momentum=0.1, eps=1e-5, slope=None):
+    """Batch norm composed from generic tensor ops, then a separate leaky ReLU:
+    the reference the fused op must match."""
+    c = x.shape[1]
+    if train:
+        mu = x.mean(axis=(0, 2), keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=(0, 2), keepdims=True)
+        m = np.float32(momentum)
+        stats.mean[...] = (1 - m) * stats.mean + m * mu.data.reshape(-1)
+        stats.var[...] = (1 - m) * stats.var + m * var.data.reshape(-1)
+        normalized = (x - mu) / (var + eps).sqrt()
+    else:
+        mu = Tensor(stats.mean.reshape(1, c, 1))
+        sd = Tensor(np.sqrt(stats.var + np.float32(eps)).reshape(1, c, 1))
+        normalized = (x - mu) / sd
+    out = normalized * gamma.reshape((1, c, 1)) + beta.reshape((1, c, 1))
+    return out if slope is None else leaky_relu(out, slope)
+
+
+def _random_stats(rng, channels):
+    stats = BatchNormStats.fresh(channels)
+    stats.mean[:] = rng.normal(size=channels)
+    stats.var[:] = rng.uniform(0.5, 2.0, size=channels)
+    return stats
+
+
+@pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_batchnorm_matches_unfused(seed, train, slope):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.5, 2.0), size=(4, 3, 50))
+    gamma = rng.uniform(0.5, 1.5, size=3)
+    beta = rng.normal(size=3)
+    w = rng.normal(size=x.shape)
+    stats0 = _random_stats(rng, 3)
+    results = []
+    for op in (batchnorm1d, _unfused_batchnorm):
+        tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
+        stats = BatchNormStats(mean=stats0.mean.copy(), var=stats0.var.copy())
+        out = op(tx, tg, tb, stats, train, 0.1, 1e-5, slope)
+        (out * Tensor(w)).sum().backward()
+        results.append((out.data, stats.mean, stats.var, tx.grad, tg.grad, tb.grad))
+    fused, unfused = results
+    np.testing.assert_allclose(fused[0], unfused[0], rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(fused[1], unfused[1], rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(fused[2], unfused[2], rtol=1e-6, atol=1e-6)
+    for got, want in zip(fused[3:], unfused[3:]):
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("slope", [None, 0.0, 0.2])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("seed", range(5))
+def test_gradcheck_fused_batchnorm(seed, train, slope):
+    rng = np.random.default_rng(seed)
+    eps = 1e-5
+    x = rng.normal(size=(3, 2, 5))
+    gamma = rng.uniform(0.5, 1.5, size=2)
+    stats = _random_stats(rng, 2)
+    run_mean = stats.mean.astype(np.float64).reshape(1, 2, 1)
+    run_var = stats.var.astype(np.float64).reshape(1, 2, 1)
+
+    def pre_activation(xv, gv, bv):
+        if train:
+            mu = xv.mean(axis=(0, 2), keepdims=True)
+            var = ((xv - mu) ** 2).mean(axis=(0, 2), keepdims=True)
+        else:
+            mu, var = run_mean, run_var
+        return (xv - mu) / np.sqrt(var + eps) * gv.reshape(1, 2, 1) + bv.reshape(1, 2, 1)
+
+    # keep every output clear of the kink, where finite differences straddle it
+    beta = rng.normal(size=2)
+    while slope is not None and np.abs(pre_activation(x, gamma, beta)).min() < 0.05:
+        beta = rng.normal(size=2)
+    w = rng.normal(size=x.shape)
+
+    def reference(xv, gv, bv):
+        y = pre_activation(xv, gv, bv)
+        if slope is not None:
+            y = np.where(y >= 0, y, slope * y)
+        return (y * w).sum()
+
+    tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
+    out = batchnorm1d(tx, tg, tb, stats, train=train, eps=eps, slope=slope)
+    check_grads((out * Tensor(w)).sum(), [tx, tg, tb], reference, [x, gamma, beta])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2])
+def test_fused_batchnorm_zero_output_passes_gradient(slope):
+    # x = [-1, 0, 1] normalizes to [-a, 0, a]: the exact zero takes slope 1
+    gamma, beta, stats = _bn_args(1)
+    out = batchnorm1d(Tensor([[[-1.0, 0.0, 1.0]]]), gamma, beta, stats, train=True, slope=slope)
+    assert out.data[0, 0, 1] == 0.0
+    out.sum().backward()
+    assert beta.grad[0] == pytest.approx(2.0 + slope)
+
+
 # -- activations ---------------------------------------------------------------
 
 
@@ -287,6 +385,12 @@ def test_leaky_relu_slope_zero_is_relu():
     x = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(leaky_relu(Tensor(x), 0.0).data, relu(Tensor(x)).data)
     np.testing.assert_allclose(relu(Tensor(x)).data, np.maximum(x, 0.0).astype(np.float32))
+
+
+def test_leaky_relu_zero_passes_gradient():
+    x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
+    leaky_relu(x, 0.2).sum().backward()
+    np.testing.assert_allclose(x.grad, [0.2, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

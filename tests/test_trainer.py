@@ -132,6 +132,44 @@ def test_nan_abort_names_epoch_and_batch():
         train(config, _normal_subs(16))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failing", ["all losses", "l_d only"])
+def test_nan_abort_leaves_last_finite_parameters(monkeypatch, failing):
+    from faultgan import trainer
+
+    seen = {}
+    real_build, real_forward, real_fm = trainer.build_model, trainer.generator_forward, trainer.feature_matching_loss
+
+    def build_model(*args, **kwargs):
+        seen["state"] = real_build(*args, **kwargs)
+        return seen["state"]
+
+    def generator_forward(g, x, train=False):
+        # a batch starts here, before any of its updates
+        seen["before"] = [p.data.copy() for p in seen["state"].params()]
+        seen["batches"] = seen.get("batches", 0) + 1
+        return real_forward(g, x, train)
+
+    def feature_matching_loss(*args, **kwargs):
+        loss = real_fm(*args, **kwargs)
+        return loss * float("nan") if seen["batches"] == 2 else loss
+
+    monkeypatch.setattr(trainer, "build_model", build_model)
+    monkeypatch.setattr(trainer, "generator_forward", generator_forward)
+    if failing == "l_d only":
+        monkeypatch.setattr(trainer, "feature_matching_loss", feature_matching_loss)
+        config = _tiny_config(epochs=3)
+    else:
+        config = _tiny_config(epochs=3, lr=1e30)  # parameters blow up, then every loss
+    with pytest.raises(NumericalError, match=r"epoch \d+ batch \d+"):
+        train(config, _normal_subs(16))
+    params = seen["state"].params()
+    assert len(params) == len(seen["before"])
+    for p, before in zip(params, seen["before"]):
+        assert np.isfinite(p.data).all()
+        np.testing.assert_array_equal(p.data, before)
+
+
 def test_loss_finite_across_seeds():
     for seed in range(5):
         _, report = train(_tiny_config(epochs=2, seed=seed), _normal_subs(16, seed0=seed * 100))
