@@ -6,8 +6,8 @@ faults by the anomaly score (reconstruction error plus latent mismatch).
 """
 
 from .evaluator import EvalReport, ScoredSample, emit_report, evaluate, score_dataset
-from .features import FEATURE_NAMES, FeatureVector, extract_features, feature_sequence
-from .model import LossWeights, ModelState, anomaly_score, build_model, fit_pipeline
+from .features import FEATURE_NAMES, FeatureVector, extract_features
+from .model import LossWeights, ModelState, build_model, fit_pipeline
 from .signal_io import (
     Subsample,
     SynthSpec,
@@ -35,12 +35,10 @@ __all__ = [
     "TimeSeries",
     "TrainConfig",
     "TrainReport",
-    "anomaly_score",
     "build_model",
     "emit_report",
     "evaluate",
     "extract_features",
-    "feature_sequence",
     "fit_pipeline",
     "load_checkpoint",
     "load_csv",

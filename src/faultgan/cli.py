@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, NumericalError, UsageError
-from .evaluator import emit_report, evaluate, normalize_scores, score_dataset
+from .evaluator import emit_report, evaluate, normalize_scores, score_dataset, write_scores_csv
 from .features import FEATURE_NAMES, extract_features
 from .model import LossWeights
 from .signal_io import (
@@ -27,6 +27,7 @@ from .signal_io import (
     split_train_test,
     subsample,
     synth,
+    write_atomic,
     write_f32_binary,
 )
 from .trainer import TrainConfig, load_checkpoint, train
@@ -184,7 +185,7 @@ def cmd_features(args) -> int:
     for w in windows:
         fv = extract_features(w.values)
         lines.append(",".join(repr(v) for v in fv.as_array().tolist()))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(windows)} feature rows to {args.out}")
     return 0
 
@@ -212,11 +213,7 @@ def cmd_score(args) -> int:
     cfg["subsample_len"] = state.pipeline.subsample_len
     subs = _load_subsamples(_expand_glob(args.data), cfg, args.label)
     scored = score_dataset(state, subs)
-    normalized = normalize_scores([s.score for s in scored])
-    lines = ["id,label,raw_score,norm_score,l_apparent,l_latent"]
-    for s, norm in zip(scored, normalized):
-        lines.append(f"{s.source},{s.label},{s.score!r},{norm!r},{s.l_apparent!r},{s.l_latent!r}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_scores_csv(args.out, scored, normalize_scores([s.score for s in scored]))
     print(f"scored {len(scored)} subsamples -> {args.out}")
     return 0
 
@@ -271,7 +268,7 @@ def cmd_sweep(args) -> int:
     for value, auc, acc in results:
         lines.append(f"{value},{auc!r},{acc!r}")
         print(f"{args.axis}={value}  auc={auc:.4f}  accuracy={acc:.4f}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import UsageError
 from .model import ModelState, generator_forward
 from .ndtensor import Tensor, no_grad
-from .signal_io import Subsample, is_fault
+from .signal_io import Subsample, is_fault, write_atomic
 
 SCORE_BATCH = 64
 
@@ -59,26 +59,32 @@ def _sample_id(sub: Subsample, index: int) -> str:
     return f"{base}@{sub.source_offset}"
 
 
+def _forward_batches(state: ModelState, samples: list[Subsample]):
+    """Per SCORE_BATCH subsamples, yield (offset, chunk, x, x_hat, z, z_hat):
+    the prepared inputs and the generator's eval-mode outputs, as arrays."""
+    for start in range(0, len(samples), SCORE_BATCH):
+        chunk = samples[start : start + SCORE_BATCH]
+        x = state.pipeline.prepare_batch(chunk)
+        with no_grad():
+            x_hat, z, z_hat = generator_forward(state.generator, Tensor(x), train=False)
+        yield start, chunk, x, x_hat.data, z.data, z_hat.data
+
+
 def score_dataset(state: ModelState, samples: list[Subsample]) -> list[ScoredSample]:
     """Eval-mode anomaly score per subsample, order-preserving."""
     scored: list[ScoredSample] = []
-    gen = state.generator
-    with no_grad():
-        for start in range(0, len(samples), SCORE_BATCH):
-            chunk = samples[start : start + SCORE_BATCH]
-            x = state.pipeline.prepare_batch(chunk)
-            x_hat, z, z_hat = generator_forward(gen, Tensor(x), train=False)
-            l_a = np.mean(np.abs(x - x_hat.data), axis=(1, 2))
-            l_l = np.mean((z.data - z_hat.data) ** 2, axis=1)
-            for i, sub in enumerate(chunk):
-                la, ll = float(l_a[i]), float(l_l[i])
-                scored.append(ScoredSample(
-                    score=la + ll,
-                    l_apparent=la,
-                    l_latent=ll,
-                    label=sub.label,
-                    source=_sample_id(sub, start + i),
-                ))
+    for start, chunk, x, x_hat, z, z_hat in _forward_batches(state, samples):
+        l_a = np.mean(np.abs(x - x_hat), axis=(1, 2))
+        l_l = np.mean((z - z_hat) ** 2, axis=1)
+        for i, sub in enumerate(chunk):
+            la, ll = float(l_a[i]), float(l_l[i])
+            scored.append(ScoredSample(
+                score=la + ll,
+                l_apparent=la,
+                l_latent=ll,
+                label=sub.label,
+                source=_sample_id(sub, start + i),
+            ))
     return scored
 
 
@@ -152,18 +158,23 @@ def evaluate(state: ModelState, samples: list[Subsample], n_recon: int = 0) -> E
 
 def reconstruction_pairs(state: ModelState, samples: list[Subsample]) -> list[ReconPair]:
     """Original and reconstructed sequences (in raw input units, padding removed)."""
-    pairs = []
-    with no_grad():
-        for i, sub in enumerate(samples):
-            prepared = state.pipeline.prepare_batch([sub])
-            x_hat, _, _ = generator_forward(state.generator, Tensor(prepared), train=False)
-            original = state.pipeline.restore(state.pipeline.prepare(sub.values))
-            reconstructed = state.pipeline.restore(x_hat.data[0])
-            pairs.append(ReconPair(source=_sample_id(sub, i), original=original, reconstructed=reconstructed))
-    return pairs
+    restore = state.pipeline.restore
+    return [
+        ReconPair(source=_sample_id(sub, start + i), original=restore(x[i]), reconstructed=restore(x_hat[i]))
+        for start, chunk, x, x_hat, _, _ in _forward_batches(state, samples)
+        for i, sub in enumerate(chunk)
+    ]
 
 
 # -- report files -------------------------------------------------------------
+
+
+def write_scores_csv(path, scored: list[ScoredSample], normalized: list[float]) -> None:
+    """The scores.csv format of both ``faultgan score`` and ``emit_report``."""
+    lines = ["id,label,raw_score,norm_score,l_apparent,l_latent"]
+    for s, norm in zip(scored, normalized):
+        lines.append(f"{s.source},{s.label},{s.score!r},{norm!r},{s.l_apparent!r},{s.l_latent!r}")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_report(report: EvalReport, out_dir) -> list[Path]:
@@ -171,34 +182,31 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        scores_path = out_dir / "scores.csv"
-        lines = ["id,label,raw_score,norm_score,l_apparent,l_latent"]
-        for s, norm in zip(report.scored, report.normalized):
-            lines.append(f"{s.source},{s.label},{s.score!r},{norm!r},{s.l_apparent!r},{s.l_latent!r}")
-        scores_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        metrics_path = out_dir / "metrics.txt"
-        metrics_path.write_text(
-            f"auc={report.auc!r}\n"
-            f"accuracy={report.accuracy!r}\n"
-            f"threshold={report.threshold!r}\n"
-            f"n_normal={report.n_normal}\n"
-            f"n_fault={report.n_fault}\n",
-            encoding="utf-8",
-        )
-
-        recon_path = out_dir / "reconstruction_pairs.csv"
-        rows = ["id,channel,position,original,reconstructed"]
-        for pair in report.recon_pairs:
-            channels, length = pair.original.shape
-            for c in range(channels):
-                for pos in range(length):
-                    rows.append(
-                        f"{pair.source},{c},{pos},"
-                        f"{float(pair.original[c, pos])!r},{float(pair.reconstructed[c, pos])!r}"
-                    )
-        recon_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot write report under {out_dir}: {err}") from err
+
+    scores_path = out_dir / "scores.csv"
+    write_scores_csv(scores_path, report.scored, report.normalized)
+
+    metrics_path = out_dir / "metrics.txt"
+    write_atomic(
+        metrics_path,
+        f"auc={report.auc!r}\n"
+        f"accuracy={report.accuracy!r}\n"
+        f"threshold={report.threshold!r}\n"
+        f"n_normal={report.n_normal}\n"
+        f"n_fault={report.n_fault}\n",
+    )
+
+    recon_path = out_dir / "reconstruction_pairs.csv"
+    rows = ["id,channel,position,original,reconstructed"]
+    for pair in report.recon_pairs:
+        channels, length = pair.original.shape
+        for c in range(channels):
+            for pos in range(length):
+                rows.append(
+                    f"{pair.source},{c},{pos},"
+                    f"{float(pair.original[c, pos])!r},{float(pair.reconstructed[c, pos])!r}"
+                )
+    write_atomic(recon_path, "\n".join(rows) + "\n")
     return [scores_path, metrics_path, recon_path]

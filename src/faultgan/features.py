@@ -13,7 +13,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import UsageError
-from .ndtensor import Tensor
 
 FEATURE_NAMES = (
     "max",
@@ -140,23 +139,9 @@ class Standardizer:
         std = np.where(std == 0.0, 1.0, std)
         return cls(mean=mean.astype(np.float32), std=std.astype(np.float32))
 
-    @classmethod
-    def identity(cls, channels: int) -> "Standardizer":
-        return cls(mean=np.zeros(channels, dtype=np.float32), std=np.ones(channels, dtype=np.float32))
-
     def transform(self, channel_rows: np.ndarray) -> np.ndarray:
         return (channel_rows - self.mean[:, None]) / self.std[:, None]
 
     def inverse(self, channel_rows: np.ndarray) -> np.ndarray:
         return channel_rows * self.std[:, None] + self.mean[:, None]
 
-
-def feature_sequence(sub, window_len: int, n_windows: int, standardizer: Standardizer | None = None) -> Tensor:
-    """Feature-extract a Subsample into a [1, 16, n_windows] network input.
-
-    Without a standardizer the raw per-window features are returned.
-    """
-    mat = feature_matrix(sub.values, window_len, n_windows)
-    if standardizer is not None:
-        mat = standardizer.transform(mat)
-    return Tensor(mat[None, :, :].astype(np.float32))

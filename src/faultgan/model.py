@@ -1,5 +1,5 @@
 """The encoder-decoder-encoder generator, the convolutional discriminator,
-their four loss functions, and the anomaly score.
+their four loss functions, and the input pipeline.
 
 Layer plan: the encoder applies n_down stride-2 convolutions (kernel 4,
 padding 1), doubling channels from base_channels, with batch norm and leaky
@@ -13,8 +13,7 @@ penultimate activation is the feature map used for feature matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,7 +150,20 @@ class Arch:
         return [self.base_channels << i for i in range(self.n_down)]
 
 
-class Encoder:
+class _Network:
+    """A network part built from ``self.layers``, whose order fixes both the
+    optimizer's parameter list and the checkpoint's array layout."""
+
+    layers: list
+
+    def params(self) -> list[Tensor]:
+        return [p for layer in self.layers for p in layer.params()]
+
+    def arrays(self) -> list[np.ndarray]:
+        return [a for layer in self.layers for a in layer.arrays()]
+
+
+class Encoder(_Network):
     """Downscaling pyramid ending in a latent projection."""
 
     def __init__(self, arch: Arch, rng):
@@ -164,6 +176,7 @@ class Encoder:
             self.stages.append((conv, bn))
             in_ch = out_ch
         self.head = _init_conv(rng, (arch.latent_dim, in_ch, arch.bottom_len), with_bias=True, stride=1, padding=0)
+        self.layers = [layer for stage in self.stages for layer in stage if layer is not None] + [self.head]
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
         h = self._body(x, train)
@@ -177,28 +190,8 @@ class Encoder:
             h = leaky_relu(h, LEAKY_SLOPE) if bn is None else bn(h, train, LEAKY_SLOPE)
         return h
 
-    def params(self) -> list[Tensor]:
-        out = []
-        for conv, bn in self.stages:
-            out += conv.params()
-            if bn is not None:
-                out += bn.params()
-        return out + self.head.params()
 
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for conv, bn in self.stages:
-            out += conv.arrays()
-            if bn is not None:
-                out += bn.arrays()
-        return out + self.head.arrays()
-
-    def layer_shapes(self) -> list[tuple]:
-        shapes = [(conv.kernel.shape, bn is not None) for conv, bn in self.stages]
-        return shapes + [(self.head.kernel.shape, False)]
-
-
-class Decoder:
+class Decoder(_Network):
     """Mirror of the encoder: latent projection then upscaling pyramid."""
 
     def __init__(self, arch: Arch, rng):
@@ -221,6 +214,7 @@ class Decoder:
             rng, (arch.base_channels, arch.input_channels, KERNEL_SIZE),
             with_bias=True, stride=2, padding=1, transposed=True,
         )
+        self.layers = [self.head, self.head_bn, *(layer for stage in self.stages for layer in stage), self.final]
 
     def forward(self, z: Tensor, train: bool) -> Tensor:
         h = z.reshape((z.shape[0], self.arch.latent_dim, 1))
@@ -229,20 +223,8 @@ class Decoder:
             h = bn(conv(h), train, 0.0)
         return self.final(h)  # plain affine output, deliberately unbounded
 
-    def params(self) -> list[Tensor]:
-        out = self.head.params() + self.head_bn.params()
-        for conv, bn in self.stages:
-            out += conv.params() + bn.params()
-        return out + self.final.params()
 
-    def arrays(self) -> list[np.ndarray]:
-        out = self.head.arrays() + self.head_bn.arrays()
-        for conv, bn in self.stages:
-            out += conv.arrays() + bn.arrays()
-        return out + self.final.arrays()
-
-
-class Generator:
+class Generator(_Network):
     """Encoder-decoder-encoder; both encoders share architecture, not weights."""
 
     def __init__(self, arch: Arch, rng):
@@ -250,47 +232,16 @@ class Generator:
         self.encoder1 = Encoder(arch, rng)
         self.decoder = Decoder(arch, rng)
         self.encoder2 = Encoder(arch, rng)
-
-    @property
-    def latent_dim(self) -> int:
-        return self.arch.latent_dim
-
-    @property
-    def input_len(self) -> int:
-        return self.arch.input_len
-
-    @property
-    def input_channels(self) -> int:
-        return self.arch.input_channels
-
-    def params(self) -> list[Tensor]:
-        return self.encoder1.params() + self.decoder.params() + self.encoder2.params()
-
-    def arrays(self) -> list[np.ndarray]:
-        return self.encoder1.arrays() + self.decoder.arrays() + self.encoder2.arrays()
+        self.layers = [self.encoder1, self.decoder, self.encoder2]
 
 
-class Discriminator:
+class Discriminator(_Network):
     """Encoder pyramid with a sigmoid head; exposes its penultimate activation."""
 
     def __init__(self, arch: Arch, rng):
         self.arch = arch
-        self.encoder = Encoder(Arch(
-            input_channels=arch.input_channels,
-            input_len=arch.input_len,
-            latent_dim=1,  # head maps to a single real/fake logit
-            base_channels=arch.base_channels,
-            n_down=arch.n_down,
-            bn_momentum=arch.bn_momentum,
-            bn_eps=arch.bn_eps,
-        ), rng)
-        self.feature_layer_index = arch.n_down - 1  # activation entering the head
-
-    def params(self) -> list[Tensor]:
-        return self.encoder.params()
-
-    def arrays(self) -> list[np.ndarray]:
-        return self.encoder.arrays()
+        self.encoder = Encoder(replace(arch, latent_dim=1), rng)  # head maps to a single real/fake logit
+        self.layers = [self.encoder]
 
 
 def _check_input(x: Tensor, arch: Arch, who: str):
@@ -347,20 +298,6 @@ def feature_matching_loss(d: Discriminator, x_real: Tensor, x_hat: Tensor, train
     return l2_mean(f_real, f_hat)
 
 
-class AnomalyScore(NamedTuple):
-    score: float
-    l_apparent: float
-    l_latent: float
-
-
-def anomaly_score(g: Generator, x: Tensor) -> AnomalyScore:
-    """Score one prepared sample in eval mode: apparent plus latent loss."""
-    x_hat, z, z_hat = generator_forward(g, x, train=False)
-    l_a = apparent_loss(x, x_hat).item()
-    l_l = latent_loss(z, z_hat).item()
-    return AnomalyScore(score=l_a + l_l, l_apparent=l_a, l_latent=l_l)
-
-
 # -- input pipeline ---------------------------------------------------------
 
 
@@ -394,17 +331,8 @@ class InputPipeline:
 
     def prepare(self, values: np.ndarray) -> np.ndarray:
         """One subsample's values -> standardized [C, net_len] float32 array."""
-        if values.size != self.subsample_len:
-            raise DimensionError(f"expected subsample of {self.subsample_len} samples, got {values.size}")
-        if self.mode == "raw":
-            rows = np.asarray(values, dtype=np.float64)[None, :]
-        else:
-            rows = feature_matrix(values, self.window_len, self.n_windows)
-        rows = self.standardizer.transform(rows)
-        pad = self.net_len - rows.shape[1]
-        if pad:
-            rows = np.pad(rows, ((0, 0), (0, pad)), mode="reflect")
-        return rows.astype(np.float32)
+        rows = _channel_rows(values, self.mode, self.subsample_len, self.window_len, self.n_windows)
+        return self._standardize_and_pad(rows)
 
     def prepare_batch(self, subsamples) -> np.ndarray:
         return np.stack([self.prepare(s.values) for s in subsamples])
@@ -413,44 +341,75 @@ class InputPipeline:
         """Undo standardization and padding of one [C, net_len] network output."""
         return self.standardizer.inverse(net_output.astype(np.float64))[:, : self.seq_len]
 
+    def _standardize_and_pad(self, rows: np.ndarray) -> np.ndarray:
+        rows = self.standardizer.transform(rows)
+        pad = self.net_len - rows.shape[1]
+        if pad:
+            rows = np.pad(rows, ((0, 0), (0, pad)), mode="reflect")
+        return rows.astype(np.float32)
+
+
+def _channel_rows(values: np.ndarray, mode: str, subsample_len: int, window_len: int, n_windows: int) -> np.ndarray:
+    """One subsample -> its unstandardized float64 [C, seq_len] rows: the
+    signal itself as one channel, or its 16-channel feature sequence."""
+    if values.size != subsample_len:
+        raise DimensionError(f"expected subsample of {subsample_len} samples, got {values.size}")
+    if mode == "raw":
+        return np.asarray(values, dtype=np.float64)[None, :]
+    return feature_matrix(values, window_len, n_windows)
+
 
 def padded_length(seq_len: int, n_down: int) -> int:
     block = 1 << n_down
     return ((seq_len + block - 1) // block) * block
 
 
-def fit_pipeline(train_subsamples, mode: str, subsample_len: int, window_len: int, n_down: int) -> InputPipeline:
-    """Fit train-set standardization stats and fix the padded network length."""
-    if not train_subsamples:
-        raise UsageError("cannot fit an input pipeline on an empty training set")
+def pipeline_layout(mode: str, subsample_len: int, window_len: int, n_down: int) -> tuple[int, int, int]:
+    """Check a pipeline's geometry and return its (window_len, n_windows,
+    net_len); both window fields are 0 in raw mode."""
     if mode == "raw":
-        rows = np.concatenate([np.asarray(s.values, dtype=np.float64) for s in train_subsamples])[None, :]
-        seq_len = subsample_len
-        n_windows = 0
+        window_len, n_windows, seq_len = 0, 0, subsample_len
     elif mode == "features":
         if window_len < 2 or window_len > subsample_len:
             raise UsageError(f"feature window length {window_len} incompatible with subsample {subsample_len}")
-        n_windows = subsample_len // window_len
-        mats = [feature_matrix(s.values, window_len, n_windows) for s in train_subsamples]
-        rows = np.concatenate(mats, axis=1)
-        seq_len = n_windows
+        n_windows = seq_len = subsample_len // window_len
     else:
         raise UsageError(f"pipeline mode must be 'raw' or 'features', got {mode!r}")
-
     net_len = padded_length(seq_len, n_down)
     if net_len - seq_len >= seq_len:
         raise UsageError(
             f"sequence length {seq_len} too short to reflect-pad to {net_len}; "
             f"reduce n_down or enlarge the input"
         )
-    return InputPipeline(
+    return window_len, n_windows, net_len
+
+
+def fit_inputs(
+    train_subsamples, mode: str, subsample_len: int, window_len: int, n_down: int
+) -> tuple[InputPipeline, np.ndarray]:
+    """Fit the input pipeline on a training set and prepare that set with it.
+
+    Each subsample becomes channel rows once: the standardizer is fit on their
+    concatenation, then the same rows become the [N, C, net_len] inputs.
+    """
+    if not train_subsamples:
+        raise UsageError("cannot fit an input pipeline on an empty training set")
+    window_len, n_windows, net_len = pipeline_layout(mode, subsample_len, window_len, n_down)
+    rows = [_channel_rows(s.values, mode, subsample_len, window_len, n_windows) for s in train_subsamples]
+    pipeline = InputPipeline(
         mode=mode,
         subsample_len=subsample_len,
         net_len=net_len,
-        standardizer=Standardizer.fit(rows),
-        window_len=window_len if mode == "features" else 0,
+        standardizer=Standardizer.fit(np.concatenate(rows, axis=1)),
+        window_len=window_len,
         n_windows=n_windows,
     )
+    return pipeline, np.stack([pipeline._standardize_and_pad(r) for r in rows])
+
+
+def fit_pipeline(train_subsamples, mode: str, subsample_len: int, window_len: int, n_down: int) -> InputPipeline:
+    """Fit train-set standardization stats and fix the padded network length."""
+    return fit_inputs(train_subsamples, mode, subsample_len, window_len, n_down)[0]
 
 
 @dataclass
@@ -463,9 +422,6 @@ class ModelState:
 
     def arrays(self) -> list[np.ndarray]:
         return self.generator.arrays() + self.discriminator.arrays()
-
-    def params(self) -> list[Tensor]:
-        return self.generator.params() + self.discriminator.params()
 
 
 def build_model(
@@ -497,3 +453,19 @@ def build_model(
         discriminator=Discriminator(arch, rng),
         pipeline=pipeline,
     )
+
+
+def state_size(arch: Arch) -> int:
+    """Float32 values in the arrays of ``build_model``'s ModelState for this
+    architecture, counted without allocating any of them."""
+    ch = arch.stage_channels()
+    first = ch[0] * arch.input_channels * KERNEL_SIZE
+    pyramid = sum(c_in * c_out * KERNEL_SIZE for c_in, c_out in zip(ch, ch[1:]))
+    head = arch.top_channels * arch.bottom_len
+
+    def encoder(latent: int) -> int:
+        # first conv and its bias, batch-normed stages (gamma, beta, mean, var), head and its bias
+        return first + ch[0] + pyramid + 4 * sum(ch[1:]) + latent * head + latent
+
+    decoder = arch.latent_dim * head + 4 * sum(ch) + pyramid + first + arch.input_channels
+    return 2 * encoder(arch.latent_dim) + decoder + encoder(1)

@@ -14,11 +14,10 @@ from .nn import (
     relu,
     sigmoid,
 )
-from .optim import Adam, AdamState, adam_step, init_adam
+from .optim import AdamState, adam_step, init_adam
 from .tensor import Tensor, clip, no_grad
 
 __all__ = [
-    "Adam",
     "AdamState",
     "BCE_CLAMP",
     "BatchNormStats",

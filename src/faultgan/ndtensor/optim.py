@@ -55,8 +55,6 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
 
     Every step is an ``out=`` ufunc over the moment buffers and one scratch
     array per parameter, so no other full-size temporary is allocated.
-
-    Returns the (mutated) params and state for convenience.
     """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise DimensionError(
@@ -92,19 +90,4 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
         np.divide(m, buf, out=buf)
         buf *= step_scale
         p.data -= buf
-    return params, state
 
-
-class Adam:
-    """Convenience wrapper binding an AdamState to a fixed parameter list."""
-
-    def __init__(self, params: list[Tensor], learning_rate=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.params = list(params)
-        self.state = init_adam(self.params, learning_rate, beta1, beta2, epsilon)
-
-    def step(self):
-        adam_step(self.params, [p.grad for p in self.params], self.state)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None

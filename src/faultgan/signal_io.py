@@ -1,4 +1,5 @@
-"""Loading, windowing, splitting, and synthesizing univariate sensor signals.
+"""Loading, windowing, splitting, and synthesizing univariate sensor signals,
+and the atomic file write that every output of the package goes through.
 
 Ingestion formats are CSV (RFC-4180-style, UTF-8, optional single header row)
 and headerless little-endian IEEE-754 float32 binary. Proprietary formats are
@@ -7,7 +8,9 @@ converted externally; see the README for a one-line .mat recipe.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,7 +148,23 @@ def load_f32_binary(path, sample_rate_hz: float = 1.0, label: str = LABEL_UNLABE
 
 
 def write_f32_binary(series: TimeSeries, path) -> None:
-    Path(path).write_bytes(series.values.astype("<f4").tobytes())
+    write_atomic(path, series.values.astype("<f4").tobytes())
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to a temp file beside ``path``, then
+    ``os.replace`` it, so ``path`` holds either its old content or all of the
+    new. An OSError becomes a UsageError naming the path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def subsample(series: TimeSeries, length: int, stride: int | None = None, source: str = "") -> list[Subsample]:

@@ -11,6 +11,7 @@ for finiteness before either network is updated.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import dataclass, field
@@ -21,20 +22,24 @@ import numpy as np
 from .errors import DataFormatError, NumericalError, UsageError
 from .features import Standardizer
 from .model import (
+    Arch,
     InputPipeline,
     LossWeights,
     ModelState,
     apparent_loss,
     build_model,
     feature_matching_loss,
-    fit_pipeline,
+    fit_inputs,
+    fit_pipeline,  # unused here since train() fits through fit_inputs; perfbench wraps trainer.fit_pipeline by name
     fraud_loss,
     generator_forward,
     generator_loss,
     latent_loss,
+    pipeline_layout,
+    state_size,
 )
 from .ndtensor import Tensor, adam_step, init_adam
-from .signal_io import is_normal
+from .signal_io import is_normal, write_atomic
 
 CHECKPOINT_MAGIC = b"SGD1"
 CHECKPOINT_VERSION = 1
@@ -108,8 +113,10 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             f"training set of {len(train_set)} is smaller than batch_size {config.batch_size}; "
             f"lower the batch size"
         )
+    if config.checkpoint_path is not None and not Path(config.checkpoint_path).parent.is_dir():
+        raise UsageError(f"checkpoint directory {Path(config.checkpoint_path).parent} does not exist")
 
-    pipeline = fit_pipeline(
+    pipeline, inputs = fit_inputs(  # inputs: [N, C, net_len]
         train_set, config.pipeline_mode, config.subsample_len, config.feature_window_len, config.n_down
     )
     state = build_model(
@@ -121,7 +128,6 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
     gen_opt = init_adam(gen_params, config.lr, config.beta1, config.beta2)
     disc_opt = init_adam(disc_params, config.lr, config.beta1, config.beta2)
 
-    inputs = pipeline.prepare_batch(train_set)  # [N, C, net_len]
     n_batches = len(train_set) // config.batch_size  # last partial batch dropped
     order_rng = np.random.default_rng(config.seed)
     weights = config.loss_weights
@@ -179,7 +185,7 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
     blob = serialize_state(state)
     if config.checkpoint_path is not None:
         path = Path(config.checkpoint_path)
-        path.write_bytes(blob)
+        write_atomic(path, blob)
         write_train_report_csv(epoch_rows, path.parent / (path.name + ".train.csv"))
     report = TrainReport(
         epochs=epoch_rows,
@@ -202,7 +208,7 @@ def write_train_report_csv(epochs: list[EpochStats], path) -> None:
             f"{row.epoch},{row.l_total!r},{row.l_fraud!r},{row.l_apparent!r},"
             f"{row.l_latent!r},{row.l_disc!r},{row.seconds:.3f}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # -- checkpoint format --------------------------------------------------------
@@ -247,14 +253,14 @@ def serialize_state(state: ModelState) -> bytes:
 
 class _Reader:
     def __init__(self, blob: bytes, origin: str):
-        self.blob = blob
+        self.view = memoryview(blob)  # slices share the blob, so arrays are parsed in place
         self.pos = 0
         self.origin = origin
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.view):
             raise DataFormatError(f"{self.origin}: truncated checkpoint")
-        chunk = self.blob[self.pos : self.pos + n]
+        chunk = self.view[self.pos : self.pos + n]
         self.pos += n
         return chunk
 
@@ -275,14 +281,33 @@ def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
     mu = np.frombuffer(r.take(4 * n_stats), dtype="<f4").astype(np.float32)
     sd = np.frombuffer(r.take(4 * n_stats), dtype="<f4").astype(np.float32)
 
-    pipeline = InputPipeline(
-        mode="raw" if mode_code == 0 else "features",
-        subsample_len=subsample_len,
-        net_len=net_len,
-        standardizer=Standardizer(mean=mu, std=sd),
-        window_len=window_len,
-        n_windows=n_windows,
-    )
+    # every header field is checked, and the payload it implies measured
+    # against the file, before build_model allocates anything
+    if mode_code > 1 or not 1 <= n_down < 32 or not math.isfinite(bn_momentum) or not math.isfinite(bn_eps):
+        raise DataFormatError(  # n_down < 32 because net_len is a u32 multiple of 2^n_down
+            f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}, "
+            f"batch-norm momentum {bn_momentum}, eps {bn_eps}"
+        )
+    try:
+        pipeline = InputPipeline(
+            mode=("raw", "features")[mode_code],
+            subsample_len=subsample_len,
+            net_len=net_len,
+            standardizer=Standardizer(mean=mu, std=sd),
+            window_len=window_len,
+            n_windows=n_windows,
+        )
+        layout = pipeline_layout(pipeline.mode, subsample_len, window_len, n_down)
+        arch = Arch(in_ch, net_len, latent, base, n_down)
+    except UsageError as err:
+        raise DataFormatError(f"{origin}: corrupt checkpoint header: {err}") from None
+    if layout != (window_len, n_windows, net_len) or not in_ch == n_stats == pipeline.channels:
+        raise DataFormatError(f"{origin}: checkpoint header does not describe a consistent input pipeline")
+    need, have = 4 * state_size(arch), len(blob) - r.pos
+    if need > have:
+        raise DataFormatError(
+            f"{origin}: truncated checkpoint: header implies at least {need} payload bytes, file has {have}"
+        )
     state = build_model(pipeline, latent, base, n_down, seed=None,
                         bn_momentum=float(bn_momentum), bn_eps=float(bn_eps))
 
@@ -305,10 +330,14 @@ def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
 def save_checkpoint(state: ModelState, path) -> str:
     """Write the checkpoint; returns its sha256 hex digest."""
     blob = serialize_state(state)
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
     return hashlib.sha256(blob).hexdigest()
 
 
 def load_checkpoint(path) -> ModelState:
     path = Path(path)
-    return deserialize_state(path.read_bytes(), origin=str(path))
+    try:
+        blob = path.read_bytes()
+    except OSError as err:
+        raise UsageError(f"cannot read checkpoint {path}: {err.strerror or err}") from err
+    return deserialize_state(blob, origin=str(path))

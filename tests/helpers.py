@@ -1,11 +1,33 @@
 """Shared test oracles: float64 finite differences, loop-based convolution
-references, and a naive feature-extractor reference."""
+references, a naive feature-extractor reference, an identity standardizer,
+and a call counter."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from faultgan.features import Standardizer
+
+
+def identity_standardizer(channels: int) -> Standardizer:
+    """A standardizer that leaves every channel unchanged."""
+    return Standardizer(mean=np.zeros(channels, dtype=np.float32), std=np.ones(channels, dtype=np.float32))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so each call appends its positional args to the
+    returned list; callers that look the name up in ``module`` see it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def fd_grad(fn, arrays: list, index: int, h: float = 1e-3) -> np.ndarray:

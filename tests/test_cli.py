@@ -233,3 +233,42 @@ def test_every_default_documented():
     assert DEFAULTS["beta1"] == 0.5 and DEFAULTS["beta2"] == 0.999
     assert DEFAULTS["latent_dim"] == 64
     assert DEFAULTS["subsample_len"] == 12000
+
+
+def test_train_into_missing_directory_fails_before_training(tmp_path, data_dir, capsys):
+    path = tmp_path / "missing_dir" / "m.ckpt"
+    assert main(["train", "--data", str(data_dir / "normal_*.f32"), "--checkpoint", str(path), *FAST]) == 1
+    captured = capsys.readouterr()
+    assert str(path.parent) in captured.err
+    assert "epoch" not in captured.out  # refused before the first epoch
+    assert not path.parent.exists()
+
+
+def test_score_into_missing_directory_is_usage_error(tmp_path, checkpoint, data_dir, capsys):
+    out = tmp_path / "missing_dir" / "s.csv"
+    assert main(["score", "--checkpoint", str(checkpoint), "--data", str(data_dir / "fault_*.f32"),
+                 "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_outputs_leave_no_temp_files(tmp_path, checkpoint, data_dir):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["score", "--checkpoint", str(checkpoint), "--data", str(data_dir / "fault_*.f32"),
+                 "--out", str(out / "s.csv")]) == 0
+    assert main(["eval", "--checkpoint", str(checkpoint), "--normal", str(data_dir / "normal_0005.f32"),
+                 "--fault", str(data_dir / "fault_*.f32"), "--out", str(out / "report")]) == 0
+    assert sorted(p.name for p in out.rglob("*")) == [
+        "metrics.txt", "reconstruction_pairs.csv", "report", "s.csv", "scores.csv",
+    ]
+
+
+def test_corrupt_checkpoint_exits_2(tmp_path, checkpoint, data_dir, capsys):
+    blob = bytearray(checkpoint.read_bytes())
+    blob[27:31] = (0).to_bytes(4, "little")  # n_down = 0
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    assert main(["score", "--checkpoint", str(bad), "--data", str(data_dir / "fault_*.f32"),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert str(bad) in capsys.readouterr().err

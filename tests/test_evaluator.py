@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import count_calls, identity_standardizer
 
+from faultgan import evaluator, model
 from faultgan.errors import UsageError
 from faultgan.evaluator import (
     EvalReport,
@@ -11,11 +13,12 @@ from faultgan.evaluator import (
     evaluate,
     normalize_scores,
     pick_threshold,
+    reconstruction_pairs,
     roc_auc,
     score_dataset,
 )
-from faultgan.features import Standardizer
-from faultgan.model import InputPipeline, build_model
+from faultgan.model import InputPipeline, build_model, fit_pipeline, generator_forward
+from faultgan.ndtensor import Tensor
 from faultgan.signal_io import Subsample
 
 
@@ -184,7 +187,7 @@ def test_threshold_midpoint_of_adjacent_floats():
 
 def _tiny_state(length=32):
     pipe = InputPipeline(mode="raw", subsample_len=length, net_len=length,
-                         standardizer=Standardizer.identity(1))
+                         standardizer=identity_standardizer(1))
     return build_model(pipe, latent_dim=4, base_channels=4, n_down=2, seed=0)
 
 
@@ -271,3 +274,42 @@ def test_emit_report_rerun_byte_identical(tmp_path):
     b = emit_report(report, tmp_path / "b")
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+# -- one batched forward path --------------------------------------------------------
+
+
+def test_reconstruction_pairs_one_forward_per_score_batch(monkeypatch):
+    state = _tiny_state()
+    subs = _mixed_subs(np.random.default_rng(10), n_normal=3, n_fault=2)
+    forwards = count_calls(monkeypatch, evaluator, "generator_forward")
+    assert len(reconstruction_pairs(state, subs)) == 5
+    assert len(forwards) == 1
+    forwards.clear()
+    monkeypatch.setattr(evaluator, "SCORE_BATCH", 2)
+    assert len(reconstruction_pairs(state, subs)) == 5
+    assert [args[1].shape[0] for args in forwards] == [2, 2, 1]
+
+
+def test_reconstruction_pairs_match_single_window_forward():
+    state = _tiny_state()
+    subs = _mixed_subs(np.random.default_rng(11), n_normal=3, n_fault=2)
+    pairs = reconstruction_pairs(state, subs)
+    for i, (pair, sub) in enumerate(zip(pairs, subs)):
+        assert pair.source == f"{sub.source}@{sub.source_offset}"
+        prepared = state.pipeline.prepare(sub.values)
+        np.testing.assert_array_equal(pair.original, state.pipeline.restore(prepared))
+        x_hat, _, _ = generator_forward(state.generator, Tensor(prepared[None]))
+        np.testing.assert_allclose(pair.reconstructed, state.pipeline.restore(x_hat.data[0]), rtol=1e-5, atol=1e-6)
+
+
+def test_evaluate_extracts_each_window_once_per_use(monkeypatch):
+    rng = np.random.default_rng(12)
+    window_len, n_windows = 4, 8
+    length = window_len * n_windows
+    subs = _mixed_subs(rng, n_normal=4, n_fault=3, length=length)
+    pipe = fit_pipeline(subs, "features", length, window_len, n_down=2)
+    state = build_model(pipe, latent_dim=4, base_channels=4, n_down=2, seed=0)
+    calls = count_calls(monkeypatch, model, "feature_matrix")
+    evaluate(state, subs, n_recon=2)
+    assert len(calls) == len(subs) + 2  # every scored window, plus each reconstructed one

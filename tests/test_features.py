@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import naive_features
+from helpers import identity_standardizer, naive_features
 
 from faultgan.errors import UsageError
 from faultgan.features import (
@@ -11,8 +11,8 @@ from faultgan.features import (
     Standardizer,
     extract_features,
     feature_matrix,
-    feature_sequence,
 )
+from faultgan.model import InputPipeline
 from faultgan.signal_io import Subsample
 
 DIMENSIONLESS = (
@@ -108,7 +108,7 @@ def test_window_too_short_raises():
         extract_features([1.0, np.inf])
 
 
-# -- feature_matrix / feature_sequence ----------------------------------------
+# -- feature_matrix and the features-mode input pipeline ------------------------
 
 
 def test_feature_matrix_window_count():
@@ -123,31 +123,38 @@ def test_feature_matrix_insufficient_samples():
         feature_matrix(np.zeros(100), window_len=30, n_windows=4)
 
 
+def _features_pipeline(window_len, n_windows, standardizer=None) -> InputPipeline:
+    return InputPipeline(
+        mode="features", subsample_len=window_len * n_windows, net_len=n_windows,
+        standardizer=standardizer or identity_standardizer(len(FEATURE_NAMES)),
+        window_len=window_len, n_windows=n_windows,
+    )
+
+
 def test_feature_sequence_single_window_equals_extract():
     rng = np.random.default_rng(2)
     sub = Subsample(values=rng.normal(size=50).astype(np.float32), source_offset=0)
-    seq = feature_sequence(sub, window_len=50, n_windows=1)
-    assert seq.shape == (1, 16, 1)
-    np.testing.assert_allclose(
-        seq.data[0, :, 0], extract_features(sub.values).as_array().astype(np.float32), rtol=1e-5
-    )
+    expected = extract_features(sub.values).as_array()
+    np.testing.assert_array_equal(feature_matrix(sub.values, window_len=50, n_windows=1)[:, 0], expected)
+    seq = _features_pipeline(50, 1).prepare(sub.values)
+    assert seq.shape == (16, 1) and seq.dtype == np.float32
+    np.testing.assert_allclose(seq[:, 0], expected.astype(np.float32), rtol=1e-5)
 
 
 def test_feature_sequence_constant_subsample_has_constant_windows():
     sub = Subsample(values=np.full(40, 3.0, dtype=np.float32), source_offset=0)
-    seq = feature_sequence(sub, window_len=10, n_windows=4)
-    assert np.ptp(seq.data, axis=2).max() == 0.0  # identical along the sequence axis
-    assert np.isfinite(seq.data).all()
+    seq = _features_pipeline(10, 4).prepare(sub.values)
+    assert np.ptp(seq, axis=1).max() == 0.0  # identical along the sequence axis
+    assert np.isfinite(seq).all()
 
 
 def test_feature_sequence_standardized_no_nan():
     rng = np.random.default_rng(4)
     subs = [Subsample(values=rng.normal(size=60).astype(np.float32), source_offset=0) for _ in range(5)]
     mats = np.concatenate([feature_matrix(s.values, 20, 3) for s in subs], axis=1)
-    std = Standardizer.fit(mats)
+    pipe = _features_pipeline(20, 3, Standardizer.fit(mats))
     for s in subs:
-        seq = feature_sequence(s, 20, 3, standardizer=std)
-        assert np.isfinite(seq.data).all()
+        assert np.isfinite(pipe.prepare(s.values)).all()
 
 
 def test_standardizer_handles_zero_spread_channels():

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from helpers import identity_standardizer
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultgan.errors import DimensionError, UsageError
-from faultgan.features import Standardizer
+from faultgan.evaluator import score_dataset
+from faultgan.features import FEATURE_NAMES
 from faultgan.model import (
     Arch,
     Discriminator,
@@ -15,7 +19,6 @@ from faultgan.model import (
     InputPipeline,
     LossWeights,
     ModelState,
-    anomaly_score,
     apparent_loss,
     build_model,
     discriminator_forward,
@@ -26,6 +29,7 @@ from faultgan.model import (
     generator_loss,
     latent_loss,
     padded_length,
+    state_size,
 )
 from faultgan.ndtensor import Tensor
 from faultgan.signal_io import Subsample
@@ -61,7 +65,7 @@ def test_paper_default_geometry():
 
 def test_encoders_share_architecture_not_weights():
     g = Generator(_arch(), _rng())
-    assert g.encoder1.layer_shapes() == g.encoder2.layer_shapes()
+    assert [p.shape for p in g.encoder1.params()] == [p.shape for p in g.encoder2.params()]
     k1 = g.encoder1.stages[0][0].kernel.data
     k2 = g.encoder2.stages[0][0].kernel.data
     assert k1.shape == k2.shape
@@ -210,19 +214,26 @@ def _tiny_state() -> ModelState:
         mode="raw",
         subsample_len=64,
         net_len=64,
-        standardizer=Standardizer.identity(1),
+        standardizer=identity_standardizer(1),
     )
     return build_model(pipeline, latent_dim=8, base_channels=4, n_down=3, seed=0)
 
 
 def test_anomaly_score_decomposition_and_determinism():
     state = _tiny_state()
-    x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 64)))
-    first = anomaly_score(state.generator, x)
-    second = anomaly_score(state.generator, x)
+    rng = np.random.default_rng(7)
+    subs = [Subsample(values=rng.normal(size=64).astype(np.float32), source_offset=i) for i in range(3)]
+    first = score_dataset(state, subs)
+    second = score_dataset(state, subs)
     assert first == second  # bit-identical in eval mode
-    assert first.score == first.l_apparent + first.l_latent
-    assert first.l_apparent >= 0 and first.l_latent >= 0
+    for s, sub in zip(first, subs):
+        assert s.score == s.l_apparent + s.l_latent
+        assert s.l_apparent >= 0 and s.l_latent >= 0
+        # the batched numpy components agree with the autodiff loss ops
+        x = Tensor(state.pipeline.prepare_batch([sub]))
+        x_hat, z, z_hat = generator_forward(state.generator, x)
+        assert s.l_apparent == pytest.approx(apparent_loss(x, x_hat).item(), rel=1e-5)
+        assert s.l_latent == pytest.approx(latent_loss(z, z_hat).item(), rel=1e-5)
 
 
 def test_anomaly_score_zero_for_perfect_model():
@@ -287,10 +298,30 @@ def test_pipeline_rejects_wrong_subsample_length():
 def test_pipeline_rejects_unknown_mode():
     with pytest.raises(UsageError):
         InputPipeline(mode="spectral", subsample_len=8, net_len=8,
-                      standardizer=Standardizer.identity(1))
+                      standardizer=identity_standardizer(1))
 
 
 def test_pipeline_too_short_for_depth():
     subs = [Subsample(values=np.zeros(3, dtype=np.float32), source_offset=0)]
     with pytest.raises(UsageError):
         fit_pipeline(subs, "raw", 3, window_len=0, n_down=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    features=st.booleans(),
+    n_down=st.integers(1, 4),
+    blocks=st.integers(1, 3),
+    latent=st.integers(1, 9),
+    base=st.integers(1, 6),
+)
+def test_state_size_counts_every_array(features, n_down, blocks, latent, base):
+    channels = len(FEATURE_NAMES) if features else 1
+    length = blocks << n_down
+    pipeline = InputPipeline(
+        mode="features" if features else "raw", subsample_len=length * (2 if features else 1), net_len=length,
+        standardizer=identity_standardizer(channels), window_len=2 if features else 0,
+        n_windows=length if features else 0,
+    )
+    state = build_model(pipeline, latent, base, n_down, seed=None)
+    assert state_size(state.generator.arch) == sum(a.size for a in state.arrays())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from faultgan.errors import DimensionError, UsageError
-from faultgan.ndtensor import Adam, Tensor, adam_step, init_adam
+from faultgan.ndtensor import Tensor, adam_step, init_adam
 
 
 def reference_adam(theta0, grads, lr, b1, b2, eps):
@@ -94,11 +94,9 @@ def test_invalid_hyperparameters_raise():
         init_adam(p, beta2=0.0)
 
 
-def test_adam_wrapper_steps_from_tensor_grads():
+def test_adam_step_from_tensor_grads():
     p = Tensor([2.0], requires_grad=True)
-    opt = Adam([p], learning_rate=0.001, beta1=0.5, beta2=0.999)
+    state = init_adam([p], learning_rate=0.001, beta1=0.5, beta2=0.999)
     (p * p).sum().backward()
-    opt.step()
+    adam_step([p], [p.grad], state)
     assert p.data[0] == pytest.approx(2.0 - 0.001, abs=1e-5)
-    opt.zero_grad()
-    assert p.grad is None

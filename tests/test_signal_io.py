@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faultgan import signal_io
 from faultgan.errors import ConfigError, DataFormatError, UsageError
 from faultgan.signal_io import (
     LABEL_NORMAL,
@@ -16,6 +17,7 @@ from faultgan.signal_io import (
     split_train_test,
     subsample,
     synth,
+    write_atomic,
     write_f32_binary,
 )
 
@@ -116,6 +118,38 @@ def test_f32_bad_length(tmp_path):
     path.write_bytes(b"\x00" * 5)
     with pytest.raises(DataFormatError, match="multiple of 4"):
         load_f32_binary(path)
+
+
+# -- atomic writes ----------------------------------------------------------------
+
+
+def test_write_atomic_replaces_whole_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_atomic(path, "old\n")
+    write_atomic(path, b"new bytes")
+    assert path.read_bytes() == b"new bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_write_atomic_missing_directory_is_usage_error(tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(UsageError, match="missing"):
+        write_atomic(path, "x")
+    assert not path.parent.exists()
+
+
+def test_write_atomic_failure_keeps_old_content(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old")
+
+    def failing_replace(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(signal_io.os, "replace", failing_replace)
+    with pytest.raises(UsageError, match="out.csv"):
+        write_atomic(path, "new")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # -- subsampling ------------------------------------------------------------------

@@ -1,12 +1,18 @@
 """Training loop contracts: normal-only gate, update scoping, determinism,
 NaN abort, and the checkpoint wire format."""
 
+import struct
+
 import numpy as np
 import pytest
+from helpers import count_calls
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faultgan import model, trainer
 from faultgan.errors import DataFormatError, NumericalError, UsageError
 from faultgan.evaluator import score_dataset
-from faultgan.model import LossWeights
+from faultgan.model import LossWeights, build_model, fit_pipeline
 from faultgan.signal_io import SynthSpec, Subsample, fault_label, subsample, synth
 from faultgan.trainer import (
     CHECKPOINT_MAGIC,
@@ -26,6 +32,10 @@ def _normal_subs(n=24, length=64, seed0=0):
                              carrier_freqs_hz=(64.0,), noise_std=0.1, seed=seed0 + i))
         subs += subsample(ts, length, source=f"n{i}")
     return subs
+
+
+def _all_params(state):
+    return state.generator.params() + state.discriminator.params()
 
 
 def _tiny_config(**kw):
@@ -71,7 +81,9 @@ def test_reconstruction_improves_over_training():
     state, report = train(config, _normal_subs(24))
     assert report.epochs[-1].l_apparent < report.epochs[0].l_apparent
     # same architecture, independently trained values
-    assert state.generator.encoder1.layer_shapes() == state.generator.encoder2.layer_shapes()
+    assert [p.shape for p in state.generator.encoder1.params()] == [
+        p.shape for p in state.generator.encoder2.params()
+    ]
     k1 = state.generator.encoder1.head.kernel.data
     k2 = state.generator.encoder2.head.kernel.data
     assert not np.array_equal(k1, k2)
@@ -146,7 +158,7 @@ def test_nan_abort_leaves_last_finite_parameters(monkeypatch, failing):
 
     def generator_forward(g, x, train=False):
         # a batch starts here, before any of its updates
-        seen["before"] = [p.data.copy() for p in seen["state"].params()]
+        seen["before"] = [p.data.copy() for p in _all_params(seen["state"])]
         seen["batches"] = seen.get("batches", 0) + 1
         return real_forward(g, x, train)
 
@@ -163,7 +175,7 @@ def test_nan_abort_leaves_last_finite_parameters(monkeypatch, failing):
         config = _tiny_config(epochs=3, lr=1e30)  # parameters blow up, then every loss
     with pytest.raises(NumericalError, match=r"epoch \d+ batch \d+"):
         train(config, _normal_subs(16))
-    params = seen["state"].params()
+    params = _all_params(seen["state"])
     assert len(params) == len(seen["before"])
     for p, before in zip(params, seen["before"]):
         assert np.isfinite(p.data).all()
@@ -270,7 +282,7 @@ def test_features_mode_end_to_end(tmp_path):
     state, report = train(config, subs)
     assert state.pipeline.mode == "features"
     assert state.pipeline.n_windows == 32
-    assert state.generator.input_channels == 16
+    assert state.generator.arch.input_channels == 16
     assert all(np.isfinite(r.l_total) for r in report.epochs)
 
     loaded = load_checkpoint(tmp_path / "feat.ckpt")
@@ -279,3 +291,115 @@ def test_features_mode_end_to_end(tmp_path):
     before = [(s.score, s.l_apparent, s.l_latent) for s in score_dataset(state, probe)]
     after = [(s.score, s.l_apparent, s.l_latent) for s in score_dataset(loaded, probe)]
     assert before == after
+
+
+def test_features_training_extracts_each_window_once(monkeypatch):
+    calls = count_calls(monkeypatch, model, "feature_matrix")
+    subs = _normal_subs(8, length=320)
+    train(_tiny_config(epochs=1, subsample_len=320, pipeline_mode="features", feature_window_len=10), subs)
+    assert len(calls) == len(subs)
+    assert sorted(id(args[0]) for args in calls) == sorted(id(s.values) for s in subs)
+
+
+def test_missing_checkpoint_directory_fails_before_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "generator_forward", lambda *a, **k: calls.append(a))
+    path = tmp_path / "missing" / "model.ckpt"
+    with pytest.raises(UsageError, match="missing"):
+        train(_tiny_config(checkpoint_path=path), _normal_subs(16))
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_load_missing_checkpoint_is_usage_error(tmp_path):
+    with pytest.raises(UsageError, match="nothing.ckpt"):
+        load_checkpoint(tmp_path / "nothing.ckpt")
+
+
+# -- corrupt checkpoint headers -----------------------------------------------------
+
+_HEADER_FIELDS = ("mode", "in_ch", "subsample_len", "net_len", "latent_dim", "base_channels",
+                  "n_down", "window_len", "n_windows")
+
+
+def _field_offset(name: str) -> tuple[int, str]:
+    """Byte offset and struct code of a header field of a version-1 checkpoint."""
+    offset = len(CHECKPOINT_MAGIC) + 2
+    for field_name, code in zip(_HEADER_FIELDS, "BIIIIIIII"):
+        if field_name == name:
+            return offset, code
+        offset += struct.calcsize("<" + code)
+    raise KeyError(name)
+
+
+def _with_field(blob: bytes, name: str, value: int) -> bytes:
+    offset, code = _field_offset(name)
+    patched = bytearray(blob)
+    struct.pack_into("<" + code, patched, offset, value)
+    return bytes(patched)
+
+
+@pytest.fixture(scope="module")
+def small_blobs():
+    """A raw-mode and a features-mode checkpoint of a tiny untrained model."""
+    raw = fit_pipeline(_normal_subs(4), "raw", 64, 0, 3)
+    feat = fit_pipeline(_normal_subs(4, length=320), "features", 320, 10, 3)
+    return [serialize_state(build_model(p, 4, 4, 3, seed=0)) for p in (raw, feat)]
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_down", 0),
+    ("net_len", 7),
+    ("latent_dim", 2**30),
+    ("base_channels", 2**30),
+    ("subsample_len", 0),
+    ("n_down", 2**32 - 1),
+    ("mode", 7),
+    ("in_ch", 0),
+    ("n_windows", 5),
+    ("window_len", 3),
+])
+def test_corrupt_header_field_is_format_error(small_blobs, name, value):
+    with pytest.raises(DataFormatError):
+        deserialize_state(_with_field(small_blobs[0], name, value))
+
+
+def test_header_n_windows_checked_in_features_mode(small_blobs):
+    assert deserialize_state(small_blobs[1]).pipeline.n_windows == 32
+    with pytest.raises(DataFormatError, match="consistent"):
+        deserialize_state(_with_field(small_blobs[1], "n_windows", 31))
+
+
+def _loads_or_format_error(blob: bytes) -> None:
+    try:
+        deserialize_state(blob)
+    except DataFormatError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 1), data=st.data())
+def test_fuzz_truncation(small_blobs, which, data):
+    blob = small_blobs[which]
+    cut = data.draw(st.integers(0, len(blob) - 1))
+    with pytest.raises(DataFormatError):
+        deserialize_state(blob[:cut])
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.integers(0, 1), data=st.data())
+def test_fuzz_byte_flips(small_blobs, which, data):
+    blob = bytearray(small_blobs[which])
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)), min_size=1, max_size=4))
+    for index, mask in flips:
+        blob[index] ^= mask
+    _loads_or_format_error(bytes(blob))
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.integers(0, 1), name=st.sampled_from(_HEADER_FIELDS), data=st.data())
+def test_fuzz_header_values(small_blobs, which, name, data):
+    limit = 255 if name == "mode" else 2**32 - 1
+    edges = [v for v in (0, 1, 2, 2**30, 2**31, limit) if v <= limit]
+    value = data.draw(st.integers(0, 64) | st.integers(0, limit) | st.sampled_from(edges))
+    _loads_or_format_error(_with_field(small_blobs[which], name, value))
