@@ -24,6 +24,7 @@ from .signal_io import (
     SynthSpec,
     load_csv,
     load_f32_binary,
+    read_input,
     split_train_test,
     subsample,
     synth,
@@ -70,8 +71,12 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = read_input(path).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     out = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,7 +159,10 @@ def _train_config(cfg: dict, checkpoint: Path | None) -> TrainConfig:
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot write files under {out_dir}: {err.strerror or err}") from err
     carriers = tuple(float(c) for c in str(cfg["carriers"]).split(",") if c.strip())
     kind = LABEL_FAULT if cfg["fault_rate"] > 0 else LABEL_NORMAL
     written = []

@@ -78,15 +78,15 @@ class ConvT(Conv):
 
 
 class BatchNorm:
-    def __init__(self, gamma: Tensor, beta: Tensor, momentum: float, eps: float):
+    """Batch norm with ``batchnorm1d``'s fixed momentum (0.1) and eps (1e-5)."""
+
+    def __init__(self, gamma: Tensor, beta: Tensor):
         self.gamma = gamma
         self.beta = beta
         self.stats = BatchNormStats.fresh(gamma.size)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, train: bool, slope: float | None = None) -> Tensor:
-        return batchnorm1d(x, self.gamma, self.beta, self.stats, train, self.momentum, self.eps, slope)
+        return batchnorm1d(x, self.gamma, self.beta, self.stats, train, slope=slope)
 
     def params(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -96,7 +96,8 @@ class BatchNorm:
 
 
 def _init_normal(rng, mean: float, shape) -> np.ndarray:
-    """N(mean, INIT_STD) float32 initial values; zeros when rng is None."""
+    """N(mean, INIT_STD) float32 initial values; zeros when rng is None, for
+    a checkpoint load that overwrites them all."""
     if rng is None:
         return np.zeros(shape, dtype=np.float32)
     return rng.normal(mean, INIT_STD, shape).astype(np.float32)
@@ -110,10 +111,10 @@ def _init_conv(rng, shape, with_bias: bool, stride: int, padding: int, transpose
     return cls(kernel, bias, stride, padding)
 
 
-def _init_bn(rng, channels: int, momentum: float, eps: float) -> BatchNorm:
+def _init_bn(rng, channels: int) -> BatchNorm:
     gamma = Tensor(_init_normal(rng, 1.0, channels), requires_grad=True)
     beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
-    return BatchNorm(gamma, beta, momentum, eps)
+    return BatchNorm(gamma, beta)
 
 
 @dataclass
@@ -125,8 +126,6 @@ class Arch:
     latent_dim: int
     base_channels: int = 16
     n_down: int = 4
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if self.n_down < 1:
@@ -172,7 +171,7 @@ class Encoder(_Network):
         in_ch = arch.input_channels
         for i, out_ch in enumerate(arch.stage_channels()):
             conv = _init_conv(rng, (out_ch, in_ch, KERNEL_SIZE), with_bias=i == 0, stride=2, padding=1)
-            bn = None if i == 0 else _init_bn(rng, out_ch, arch.bn_momentum, arch.bn_eps)
+            bn = None if i == 0 else _init_bn(rng, out_ch)
             self.stages.append((conv, bn))
             in_ch = out_ch
         self.head = _init_conv(rng, (arch.latent_dim, in_ch, arch.bottom_len), with_bias=True, stride=1, padding=0)
@@ -200,7 +199,7 @@ class Decoder(_Network):
             rng, (arch.latent_dim, arch.top_channels, arch.bottom_len),
             with_bias=False, stride=1, padding=0, transposed=True,
         )
-        self.head_bn = _init_bn(rng, arch.top_channels, arch.bn_momentum, arch.bn_eps)
+        self.head_bn = _init_bn(rng, arch.top_channels)
         self.stages = []
         channels = arch.stage_channels()
         for i in range(arch.n_down - 1, 0, -1):
@@ -208,7 +207,7 @@ class Decoder(_Network):
                 rng, (channels[i], channels[i - 1], KERNEL_SIZE),
                 with_bias=False, stride=2, padding=1, transposed=True,
             )
-            bn = _init_bn(rng, channels[i - 1], arch.bn_momentum, arch.bn_eps)
+            bn = _init_bn(rng, channels[i - 1])
             self.stages.append((conv, bn))
         self.final = _init_conv(
             rng, (arch.base_channels, arch.input_channels, KERNEL_SIZE),
@@ -300,6 +299,8 @@ def feature_matching_loss(d: Discriminator, x_real: Tensor, x_hat: Tensor, train
 
 # -- input pipeline ---------------------------------------------------------
 
+MODE_CHANNELS = {"raw": 1, "features": len(FEATURE_NAMES)}  # network input channels per pipeline mode
+
 
 @dataclass
 class InputPipeline:
@@ -318,12 +319,12 @@ class InputPipeline:
     n_windows: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("raw", "features"):
+        if self.mode not in MODE_CHANNELS:
             raise UsageError(f"pipeline mode must be 'raw' or 'features', got {self.mode!r}")
 
     @property
     def channels(self) -> int:
-        return 1 if self.mode == "raw" else len(FEATURE_NAMES)
+        return MODE_CHANNELS[self.mode]
 
     @property
     def seq_len(self) -> int:
@@ -414,40 +415,24 @@ def fit_pipeline(train_subsamples, mode: str, subsample_len: int, window_len: in
 
 @dataclass
 class ModelState:
-    """Everything needed to score new data: networks plus input pipeline."""
+    """A generator behind its input pipeline: everything scoring reads. The
+    discriminator only shapes training; a loaded checkpoint has none."""
 
     generator: Generator
-    discriminator: Discriminator
+    discriminator: Discriminator | None
     pipeline: InputPipeline
 
-    def arrays(self) -> list[np.ndarray]:
-        return self.generator.arrays() + self.discriminator.arrays()
 
-
-def build_model(
-    pipeline: InputPipeline,
-    latent_dim: int,
-    base_channels: int,
-    n_down: int,
-    seed: int | None,
-    bn_momentum: float = 0.1,
-    bn_eps: float = 1e-5,
-) -> ModelState:
-    """Seeded construction of generator + discriminator behind a pipeline.
-
-    seed None zero-fills every weight instead, for a caller that overwrites
-    them all (checkpoint loading), so no random draws are wasted.
-    """
+def build_model(pipeline: InputPipeline, latent_dim: int, base_channels: int, n_down: int, seed: int) -> ModelState:
+    """Seeded construction of generator + discriminator behind a pipeline."""
     arch = Arch(
         input_channels=pipeline.channels,
         input_len=pipeline.net_len,
         latent_dim=latent_dim,
         base_channels=base_channels,
         n_down=n_down,
-        bn_momentum=bn_momentum,
-        bn_eps=bn_eps,
     )
-    rng = None if seed is None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return ModelState(
         generator=Generator(arch, rng),
         discriminator=Discriminator(arch, rng),
@@ -456,16 +441,14 @@ def build_model(
 
 
 def state_size(arch: Arch) -> int:
-    """Float32 values in the arrays of ``build_model``'s ModelState for this
-    architecture, counted without allocating any of them."""
+    """Float32 values in the arrays of a Generator of this architecture,
+    counted without allocating any of them."""
     ch = arch.stage_channels()
     first = ch[0] * arch.input_channels * KERNEL_SIZE
     pyramid = sum(c_in * c_out * KERNEL_SIZE for c_in, c_out in zip(ch, ch[1:]))
     head = arch.top_channels * arch.bottom_len
 
-    def encoder(latent: int) -> int:
-        # first conv and its bias, batch-normed stages (gamma, beta, mean, var), head and its bias
-        return first + ch[0] + pyramid + 4 * sum(ch[1:]) + latent * head + latent
-
+    # first conv and its bias, batch-normed stages (gamma, beta, mean, var), head and its bias
+    encoder = first + ch[0] + pyramid + 4 * sum(ch[1:]) + arch.latent_dim * head + arch.latent_dim
     decoder = arch.latent_dim * head + 4 * sum(ch) + pyramid + first + arch.input_channels
-    return 2 * encoder(arch.latent_dim) + decoder + encoder(1)
+    return 2 * encoder + decoder

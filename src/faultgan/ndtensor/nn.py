@@ -36,18 +36,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padd
     x_data, k_data = x.data, kernel.data
     out, col = kernels.conv1d_forward(x_data, k_data, None if bias is None else bias.data, stride, padding)
 
-    if bias is None:
-        def backward(g):
-            gx, gk, _ = kernels.conv1d_backward(g, x_data.shape, k_data, col, stride, padding)
-            return gx, gk
+    def backward(g):  # Tensor.backward zips the parents with (gx, gk, gb), so gb is dropped without a bias
+        return kernels.conv1d_backward(g, x_data.shape, k_data, col, stride, padding)
 
-        return _make(out, (x, kernel), backward)
-
-    def backward(g):
-        gx, gk, gb = kernels.conv1d_backward(g, x_data.shape, k_data, col, stride, padding)
-        return gx, gk, gb
-
-    return _make(out, (x, kernel, bias), backward)
+    return _make(out, (x, kernel) if bias is None else (x, kernel, bias), backward)
 
 
 def conv_transpose1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -75,17 +67,10 @@ def conv_transpose1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int
         x_data, k_data, None if bias is None else bias.data, stride, padding
     )
 
-    if bias is None:
-        def backward(g):
-            gx, gk, _ = kernels.conv_transpose1d_backward(g, x_data, k_data, stride, padding)
-            return gx, gk
-
-        return _make(out, (x, kernel), backward)
-
-    def backward(g):
+    def backward(g):  # Tensor.backward zips the parents with (gx, gk, gb), so gb is dropped without a bias
         return kernels.conv_transpose1d_backward(g, x_data, k_data, stride, padding)
 
-    return _make(out, (x, kernel, bias), backward)
+    return _make(out, (x, kernel) if bias is None else (x, kernel, bias), backward)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Loading, windowing, splitting, and synthesizing univariate sensor signals,
-and the atomic file write that every output of the package goes through.
+the file read that every input of the package goes through, and the atomic
+file write that every output goes through.
 
 Ingestion formats are CSV (RFC-4180-style, UTF-8, optional single header row)
 and headerless little-endian IEEE-754 float32 binary. Proprietary formats are
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +91,11 @@ def load_csv(path, column=0, sample_rate_hz: float = 1.0, label: str = LABEL_UNL
     ``column`` is either a 0-based index or a header name.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        text = read_input(path).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise DataFormatError(f"{path}: empty file")
 
@@ -138,7 +143,7 @@ def _all_numeric(cells) -> bool:
 def load_f32_binary(path, sample_rate_hz: float = 1.0, label: str = LABEL_UNLABELED) -> TimeSeries:
     """Read a headerless stream of little-endian float32 samples."""
     path = Path(path)
-    raw = path.read_bytes()
+    raw = read_input(path)
     if len(raw) == 0:
         raise DataFormatError(f"{path}: empty file")
     if len(raw) % 4 != 0:
@@ -149,6 +154,14 @@ def load_f32_binary(path, sample_rate_hz: float = 1.0, label: str = LABEL_UNLABE
 
 def write_f32_binary(series: TimeSeries, path) -> None:
     write_atomic(path, series.values.astype("<f4").tobytes())
+
+
+def read_input(path: Path) -> bytes:
+    """All of an input file's bytes; an OSError becomes a UsageError naming the path."""
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise UsageError(f"cannot read {path}: {err.strerror or err}") from err
 
 
 def write_atomic(path, data: bytes | str) -> None:

@@ -11,8 +11,9 @@ for finiteness before either network is updated.
 from __future__ import annotations
 
 import hashlib
-import math
+import io
 import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,9 @@ import numpy as np
 from .errors import DataFormatError, NumericalError, UsageError
 from .features import Standardizer
 from .model import (
+    MODE_CHANNELS,
     Arch,
+    Generator,
     InputPipeline,
     LossWeights,
     ModelState,
@@ -42,7 +45,8 @@ from .ndtensor import Tensor, adam_step, init_adam
 from .signal_io import is_normal, write_atomic
 
 CHECKPOINT_MAGIC = b"SGD1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_MODES = ("raw", "features")  # the header's pipeline-mode codes
 
 
 @dataclass
@@ -61,8 +65,6 @@ class TrainConfig:
     base_channels: int = 16
     n_down: int = 4
     feature_window_len: int = 250
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -119,10 +121,7 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
     pipeline, inputs = fit_inputs(  # inputs: [N, C, net_len]
         train_set, config.pipeline_mode, config.subsample_len, config.feature_window_len, config.n_down
     )
-    state = build_model(
-        pipeline, config.latent_dim, config.base_channels, config.n_down,
-        config.seed, config.bn_momentum, config.bn_eps,
-    )
+    state = build_model(pipeline, config.latent_dim, config.base_channels, config.n_down, config.seed)
     gen_params = state.generator.params()
     disc_params = state.discriminator.params()
     gen_opt = init_adam(gen_params, config.lr, config.beta1, config.beta2)
@@ -213,10 +212,12 @@ def write_train_report_csv(epochs: list[EpochStats], path) -> None:
 
 # -- checkpoint format --------------------------------------------------------
 #
-# magic "SGD1", u16 version, then a fixed header (pipeline mode, architecture
-# hyperparameters, float knobs), the per-channel standardization statistics,
-# and every parameter and running-stat tensor in deterministic traversal order
-# as (u8 ndim, u32 dims..., float32 data), all little-endian.
+# magic "SGD1", u16 version, then a fixed header (u8 pipeline mode, u32
+# subsample_len, window_len, latent_dim, base_channels, n_down), the
+# per-channel standardization mean and std (one value per channel of the
+# mode), and every generator array in traversal order as (u8 ndim, u32
+# dims..., float32 data), all little-endian. Everything else (channel count,
+# network length, feature-window count, array shapes) follows from the header.
 
 
 def serialize_state(state: ModelState) -> bytes:
@@ -224,27 +225,17 @@ def serialize_state(state: ModelState) -> bytes:
     pipe = state.pipeline
     parts = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
     parts.append(struct.pack(
-        "<BIIIIIIII",
-        0 if pipe.mode == "raw" else 1,
-        arch.input_channels,
+        "<BIIIII",
+        _MODES.index(pipe.mode),
         pipe.subsample_len,
-        pipe.net_len,
+        pipe.window_len,
         arch.latent_dim,
         arch.base_channels,
         arch.n_down,
-        pipe.window_len,
-        pipe.n_windows,
     ))
-    parts.append(struct.pack("<ff", arch.bn_momentum, arch.bn_eps))
-    mu = pipe.standardizer.mean.astype("<f4")
-    sd = pipe.standardizer.std.astype("<f4")
-    parts.append(struct.pack("<I", mu.size))
-    parts.append(mu.tobytes())
-    parts.append(sd.tobytes())
-
-    arrays = state.arrays()
-    parts.append(struct.pack("<I", len(arrays)))
-    for arr in arrays:
+    parts.append(pipe.standardizer.mean.astype("<f4").tobytes())
+    parts.append(pipe.standardizer.std.astype("<f4").tobytes())
+    for arr in state.generator.arrays():
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -252,79 +243,87 @@ def serialize_state(state: ModelState) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes, origin: str):
-        self.view = memoryview(blob)  # slices share the blob, so arrays are parsed in place
-        self.pos = 0
-        self.origin = origin
+    """Reads a checkpoint from a binary stream; a short read is a DataFormatError."""
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.view):
+    def __init__(self, stream, origin: str):
+        self.stream = stream
+        self.origin = origin
+        self.size = stream.seek(0, io.SEEK_END)
+        stream.seek(0)
+
+    def left(self) -> int:
+        return self.size - self.stream.tell()
+
+    def take(self, n: int) -> bytes:
+        chunk = self.stream.read(n)
+        if len(chunk) != n:
             raise DataFormatError(f"{self.origin}: truncated checkpoint")
-        chunk = self.view[self.pos : self.pos + n]
-        self.pos += n
         return chunk
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def fill(self, arr: np.ndarray) -> None:
+        """Read little-endian float32 values straight into ``arr``, with no
+        intermediate copy of the payload."""
+        if self.stream.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            raise DataFormatError(f"{self.origin}: truncated checkpoint")
+        if sys.byteorder != "little":
+            arr.byteswap(inplace=True)
+
 
 def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
-    r = _Reader(blob, origin)
+    return _read_state(io.BytesIO(blob), origin)
+
+
+def _read_state(stream, origin: str) -> ModelState:
+    r = _Reader(stream, origin)
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{origin}: bad magic bytes (not a checkpoint)")
     (version,) = r.unpack("<H")
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{origin}: unsupported version {version} (expected {CHECKPOINT_VERSION})")
-    (mode_code, in_ch, subsample_len, net_len, latent, base, n_down, window_len, n_windows) = r.unpack("<BIIIIIIII")
-    bn_momentum, bn_eps = r.unpack("<ff")
-    (n_stats,) = r.unpack("<I")
-    mu = np.frombuffer(r.take(4 * n_stats), dtype="<f4").astype(np.float32)
-    sd = np.frombuffer(r.take(4 * n_stats), dtype="<f4").astype(np.float32)
+    mode_code, subsample_len, window_len, latent, base, n_down = r.unpack("<BIIIII")
 
     # every header field is checked, and the payload it implies measured
-    # against the file, before build_model allocates anything
-    if mode_code > 1 or not 1 <= n_down < 32 or not math.isfinite(bn_momentum) or not math.isfinite(bn_eps):
-        raise DataFormatError(  # n_down < 32 because net_len is a u32 multiple of 2^n_down
-            f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}, "
-            f"batch-norm momentum {bn_momentum}, eps {bn_eps}"
+    # against the file, before any generator array is allocated
+    if mode_code >= len(_MODES) or not 1 <= n_down < 32:
+        raise DataFormatError(  # n_down < 32 keeps 2^n_down and the network length within u32
+            f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}"
         )
+    mode = _MODES[mode_code]
     try:
-        pipeline = InputPipeline(
-            mode=("raw", "features")[mode_code],
-            subsample_len=subsample_len,
-            net_len=net_len,
-            standardizer=Standardizer(mean=mu, std=sd),
-            window_len=window_len,
-            n_windows=n_windows,
-        )
-        layout = pipeline_layout(pipeline.mode, subsample_len, window_len, n_down)
-        arch = Arch(in_ch, net_len, latent, base, n_down)
+        layout_window, n_windows, net_len = pipeline_layout(mode, subsample_len, window_len, n_down)
+        arch = Arch(MODE_CHANNELS[mode], net_len, latent, base, n_down)
     except UsageError as err:
         raise DataFormatError(f"{origin}: corrupt checkpoint header: {err}") from None
-    if layout != (window_len, n_windows, net_len) or not in_ch == n_stats == pipeline.channels:
-        raise DataFormatError(f"{origin}: checkpoint header does not describe a consistent input pipeline")
-    need, have = 4 * state_size(arch), len(blob) - r.pos
+    if layout_window != window_len:  # raw mode stores window_len 0
+        raise DataFormatError(f"{origin}: feature window length {window_len} in a {mode}-mode checkpoint")
+    mean, std = np.frombuffer(r.take(8 * arch.input_channels), dtype="<f4").astype(np.float32).reshape(2, -1)
+    need, have = 4 * state_size(arch), r.left()
     if need > have:
         raise DataFormatError(
             f"{origin}: truncated checkpoint: header implies at least {need} payload bytes, file has {have}"
         )
-    state = build_model(pipeline, latent, base, n_down, seed=None,
-                        bn_momentum=float(bn_momentum), bn_eps=float(bn_eps))
 
-    (n_tensors,) = r.unpack("<I")
-    arrays = state.arrays()
-    if n_tensors != len(arrays):
-        raise DataFormatError(f"{origin}: {n_tensors} tensors in file, architecture needs {len(arrays)}")
-    for arr in arrays:
+    generator = Generator(arch, None)  # zero-filled; every array is read below
+    for arr in generator.arrays():
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         if shape != arr.shape:
             raise DataFormatError(f"{origin}: tensor shape {shape} does not match architecture {arr.shape}")
-        data = np.frombuffer(r.take(4 * arr.size), dtype="<f4")
-        arr[...] = data.reshape(shape)
-    if r.pos != len(blob):
-        raise DataFormatError(f"{origin}: {len(blob) - r.pos} trailing bytes after checkpoint payload")
-    return state
+        r.fill(arr)
+    if r.left():
+        raise DataFormatError(f"{origin}: {r.left()} trailing bytes after checkpoint payload")
+    pipeline = InputPipeline(
+        mode=mode,
+        subsample_len=subsample_len,
+        net_len=net_len,
+        standardizer=Standardizer(mean=mean, std=std),
+        window_len=window_len,
+        n_windows=n_windows,
+    )
+    return ModelState(generator=generator, discriminator=None, pipeline=pipeline)
 
 
 def save_checkpoint(state: ModelState, path) -> str:
@@ -337,7 +336,7 @@ def save_checkpoint(state: ModelState, path) -> str:
 def load_checkpoint(path) -> ModelState:
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as fh:  # each array is read straight from the file, not from a copy of it in memory
+            return _read_state(fh, str(path))
     except OSError as err:
         raise UsageError(f"cannot read checkpoint {path}: {err.strerror or err}") from err
-    return deserialize_state(blob, origin=str(path))

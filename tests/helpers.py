@@ -1,14 +1,38 @@
 """Shared test oracles: float64 finite differences, loop-based convolution
 references, a naive feature-extractor reference, an identity standardizer,
-and a call counter."""
+a call counter, and the checkpoint header layout."""
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from faultgan.features import Standardizer
+from faultgan.trainer import CHECKPOINT_MAGIC
+
+# the fixed header of a version-2 checkpoint, after the magic and the u16 version
+HEADER_FIELDS = ("mode", "subsample_len", "window_len", "latent_dim", "base_channels", "n_down")
+_HEADER_CODES = "BIIIII"
+
+
+def field_offset(name: str) -> tuple[int, str]:
+    """Byte offset and struct code of a header field of a version-2 checkpoint."""
+    offset = len(CHECKPOINT_MAGIC) + 2
+    for field_name, code in zip(HEADER_FIELDS, _HEADER_CODES):
+        if field_name == name:
+            return offset, code
+        offset += struct.calcsize("<" + code)
+    raise KeyError(name)
+
+
+def with_field(blob: bytes, name: str, value: int) -> bytes:
+    """A copy of a checkpoint blob with one header field set to ``value``."""
+    offset, code = field_offset(name)
+    patched = bytearray(blob)
+    struct.pack_into("<" + code, patched, offset, value)
+    return bytes(patched)
 
 
 def identity_standardizer(channels: int) -> Standardizer:

@@ -3,6 +3,7 @@ synth -> train -> score/eval -> sweep flow."""
 
 import numpy as np
 import pytest
+from helpers import with_field
 
 from faultgan.cli import DEFAULTS, build_parser, main, parse_config_file
 from faultgan.errors import ConfigError
@@ -53,6 +54,14 @@ def test_help_documents_defaults(capsys):
 def test_synth_zero_samples_is_usage_error(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path), "--samples", "0"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_synth_into_existing_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["synth", "--out", str(out), "--samples", "64"]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_synth_deterministic(tmp_path):
@@ -128,6 +137,35 @@ def test_corrupt_data_file_is_format_error(tmp_path, checkpoint, capsys):
     assert main(["score", "--checkpoint", str(checkpoint),
                  "--data", str(bad), "--out", str(tmp_path / "s.csv")]) == 2
     assert "multiple of 4" in capsys.readouterr().err
+
+
+def test_data_glob_matching_a_directory_is_usage_error(tmp_path, checkpoint, capsys):
+    (tmp_path / "x.f32").mkdir()
+    assert main(["score", "--checkpoint", str(checkpoint),
+                 "--data", str(tmp_path / "*.f32"), "--out", str(tmp_path / "s.csv")]) == 1
+    assert str(tmp_path / "x.f32") in capsys.readouterr().err
+
+
+def test_config_directory_is_usage_error(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "out"), "--config", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"samples = 64 # \xff\n")
+    assert main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)]) == 1
+    assert str(config) in capsys.readouterr().err
+
+
+def test_csv_not_utf8_is_format_error(tmp_path, capsys):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes("caf\u00e9\n1.0\n2.0\n".encode("latin-1"))
+    assert main(["features", "--input", str(csv_path), "--window-len", "2",
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(csv_path) in err and "UTF-8" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_sweep_emits_one_row_per_value(tmp_path, data_dir):
@@ -265,10 +303,8 @@ def test_outputs_leave_no_temp_files(tmp_path, checkpoint, data_dir):
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, checkpoint, data_dir, capsys):
-    blob = bytearray(checkpoint.read_bytes())
-    blob[27:31] = (0).to_bytes(4, "little")  # n_down = 0
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(bytes(blob))
+    bad.write_bytes(with_field(checkpoint.read_bytes(), "n_down", 0))
     assert main(["score", "--checkpoint", str(bad), "--data", str(data_dir / "fault_*.f32"),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert str(bad) in capsys.readouterr().err

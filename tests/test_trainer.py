@@ -1,11 +1,9 @@
 """Training loop contracts: normal-only gate, update scoping, determinism,
 NaN abort, and the checkpoint wire format."""
 
-import struct
-
 import numpy as np
 import pytest
-from helpers import count_calls
+from helpers import HEADER_FIELDS, count_calls, with_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -241,9 +239,10 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_unsupported_version(tmp_path):
     state, _ = train(_tiny_config(), _normal_subs(16))
     blob = bytearray(serialize_state(state))
-    blob[4:6] = (99).to_bytes(2, "little")
-    with pytest.raises(DataFormatError, match="unsupported version"):
-        deserialize_state(bytes(blob))
+    for version in (1, 99):  # version 1 also stored the discriminator and header fields v2 derives
+        blob[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(DataFormatError, match=f"unsupported version {version} "):
+            deserialize_state(bytes(blob))
     assert blob[:4] == CHECKPOINT_MAGIC
 
 
@@ -259,8 +258,20 @@ def test_optimizer_state_not_persisted():
     # but training resumption restarts Adam moments by design
     state, _ = train(_tiny_config(), _normal_subs(16))
     blob = serialize_state(state)
-    n_param_bytes = sum(4 * a.size for a in state.arrays())
+    n_param_bytes = sum(4 * a.size for a in state.generator.arrays())
     assert len(blob) < n_param_bytes + 4096  # header only, no moment buffers
+
+
+def test_checkpoint_holds_only_the_generator():
+    state, _ = train(_tiny_config(), _normal_subs(16))
+    blob = serialize_state(state)
+    header = len(CHECKPOINT_MAGIC) + 2 + 1 + 5 * 4
+    stats = 2 * 4 * state.generator.arch.input_channels
+    arrays = sum(1 + 4 * a.ndim + 4 * a.size for a in state.generator.arrays())
+    assert len(blob) == header + stats + arrays
+    loaded = deserialize_state(blob)
+    assert loaded.discriminator is None
+    assert [a.tobytes() for a in loaded.generator.arrays()] == [a.tobytes() for a in state.generator.arrays()]
 
 
 def test_config_validation():
@@ -314,29 +325,23 @@ def test_missing_checkpoint_directory_fails_before_training(tmp_path, monkeypatc
 def test_load_missing_checkpoint_is_usage_error(tmp_path):
     with pytest.raises(UsageError, match="nothing.ckpt"):
         load_checkpoint(tmp_path / "nothing.ckpt")
+    with pytest.raises(UsageError, match="cannot read"):
+        load_checkpoint(tmp_path)  # a directory
+
+
+def test_load_checkpoint_checks_file_length(tmp_path, small_blobs):
+    # load_checkpoint reads arrays from the file itself, so its length checks
+    # are the file's, not those of a blob in memory
+    path = tmp_path / "model.ckpt"
+    for blob, match in ((small_blobs[0][:-1], "truncated"), (small_blobs[0] + b"\0", "1 trailing bytes")):
+        path.write_bytes(blob)
+        with pytest.raises(DataFormatError, match=match):
+            load_checkpoint(path)
+    path.write_bytes(small_blobs[0])
+    assert serialize_state(load_checkpoint(path)) == small_blobs[0]
 
 
 # -- corrupt checkpoint headers -----------------------------------------------------
-
-_HEADER_FIELDS = ("mode", "in_ch", "subsample_len", "net_len", "latent_dim", "base_channels",
-                  "n_down", "window_len", "n_windows")
-
-
-def _field_offset(name: str) -> tuple[int, str]:
-    """Byte offset and struct code of a header field of a version-1 checkpoint."""
-    offset = len(CHECKPOINT_MAGIC) + 2
-    for field_name, code in zip(_HEADER_FIELDS, "BIIIIIIII"):
-        if field_name == name:
-            return offset, code
-        offset += struct.calcsize("<" + code)
-    raise KeyError(name)
-
-
-def _with_field(blob: bytes, name: str, value: int) -> bytes:
-    offset, code = _field_offset(name)
-    patched = bytearray(blob)
-    struct.pack_into("<" + code, patched, offset, value)
-    return bytes(patched)
 
 
 @pytest.fixture(scope="module")
@@ -349,25 +354,26 @@ def small_blobs():
 
 @pytest.mark.parametrize("name,value", [
     ("n_down", 0),
-    ("net_len", 7),
     ("latent_dim", 2**30),
     ("base_channels", 2**30),
     ("subsample_len", 0),
     ("n_down", 2**32 - 1),
     ("mode", 7),
-    ("in_ch", 0),
-    ("n_windows", 5),
     ("window_len", 3),
 ])
 def test_corrupt_header_field_is_format_error(small_blobs, name, value):
     with pytest.raises(DataFormatError):
-        deserialize_state(_with_field(small_blobs[0], name, value))
+        deserialize_state(with_field(small_blobs[0], name, value))
 
 
 def test_header_n_windows_checked_in_features_mode(small_blobs):
     assert deserialize_state(small_blobs[1]).pipeline.n_windows == 32
-    with pytest.raises(DataFormatError, match="consistent"):
-        deserialize_state(_with_field(small_blobs[1], "n_windows", 31))
+    # window 20 gives 16 windows: a shorter network than the stored arrays
+    with pytest.raises(DataFormatError, match="does not match architecture"):
+        deserialize_state(with_field(small_blobs[1], "window_len", 20))
+    for bad_window in (1, 321):  # shorter than 2 samples, longer than the subsample
+        with pytest.raises(DataFormatError, match="corrupt checkpoint header"):
+            deserialize_state(with_field(small_blobs[1], "window_len", bad_window))
 
 
 def _loads_or_format_error(blob: bytes) -> None:
@@ -397,9 +403,9 @@ def test_fuzz_byte_flips(small_blobs, which, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(which=st.integers(0, 1), name=st.sampled_from(_HEADER_FIELDS), data=st.data())
+@given(which=st.integers(0, 1), name=st.sampled_from(HEADER_FIELDS), data=st.data())
 def test_fuzz_header_values(small_blobs, which, name, data):
     limit = 255 if name == "mode" else 2**32 - 1
     edges = [v for v in (0, 1, 2, 2**30, 2**31, limit) if v <= limit]
     value = data.draw(st.integers(0, 64) | st.integers(0, limit) | st.sampled_from(edges))
-    _loads_or_format_error(_with_field(small_blobs[which], name, value))
+    _loads_or_format_error(with_field(small_blobs[which], name, value))
