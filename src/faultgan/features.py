@@ -4,6 +4,9 @@ sequence for the network.
 
 All moments are population moments (no sample-size correction). Every ratio
 with a zero denominator is defined as 0 so constant windows stay valid.
+`window_features` is the one implementation of the descriptors: it computes
+them for a whole [n_windows, window_len] block of windows in one vectorized
+pass, so a subsample costs one call, and a single window is the n = 1 case.
 """
 
 from __future__ import annotations
@@ -59,53 +62,18 @@ class FeatureVector:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den != 0.0 else 0.0
-
-
 def extract_features(window) -> FeatureVector:
     """Compute the 16 descriptors of a window of at least 2 finite samples."""
     x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
+    if x.ndim != 1:
         raise UsageError(f"feature window needs >= 2 samples, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise UsageError("feature window contains non-finite values")
-
-    mean = float(x.mean())
-    centered = x - mean
-    variance = float(np.mean(centered**2))
-    std = float(np.sqrt(variance))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    abs_x = np.abs(x)
-    peak = float(abs_x.max())
-    avg_amplitude = float(abs_x.mean())
-    rms = float(np.sqrt(np.mean(x**2)))
-    sqrt_amplitude = float(np.mean(np.sqrt(abs_x)) ** 2)
-
-    return FeatureVector(
-        max=float(x.max()),
-        min=float(x.min()),
-        mean=mean,
-        std=std,
-        peak_to_peak=float(x.max() - x.min()),
-        avg_amplitude=avg_amplitude,
-        rms=rms,
-        skewness=_ratio(m3, std**3),
-        variance=variance,
-        waveform_indicator=_ratio(rms, avg_amplitude),
-        pulse_indicator=_ratio(peak, avg_amplitude),
-        twist_index=_ratio(m3, rms**3),
-        peak_indicator=_ratio(peak, rms),
-        margin_indicator=_ratio(peak, sqrt_amplitude),
-        kurtosis_index=_ratio(m4, variance**2),
-        sqrt_amplitude=sqrt_amplitude,
-    )
+    return FeatureVector(*window_features(x[None, :])[:, 0].tolist())
 
 
 def feature_matrix(values, window_len: int, n_windows: int) -> np.ndarray:
-    """Split a subsample into consecutive windows and stack one FeatureVector
-    per window as a [16, n_windows] array (unstandardized)."""
+    """Split a subsample into consecutive windows and return their
+    descriptors as a [16, n_windows] array (unstandardized). Samples past
+    the last whole window are ignored."""
     x = np.asarray(values, dtype=np.float64)
     if window_len < 2 or n_windows < 1:
         raise UsageError(f"need window_len >= 2 and n_windows >= 1, got {window_len}, {n_windows}")
@@ -114,11 +82,62 @@ def feature_matrix(values, window_len: int, n_windows: int) -> np.ndarray:
             f"{n_windows} windows of {window_len} samples need {window_len * n_windows}, "
             f"subsample has {x.size}"
         )
-    out = np.empty((len(FEATURE_NAMES), n_windows), dtype=np.float64)
-    for w in range(n_windows):
-        fv = extract_features(x[w * window_len : (w + 1) * window_len])
-        out[:, w] = fv.as_array()
-    return out
+    return window_features(x[: window_len * n_windows].reshape(n_windows, window_len))
+
+
+def window_features(windows) -> np.ndarray:
+    """The 16 descriptors of each row of a [n, window_len] array of windows,
+    as a [16, n] array in FEATURE_NAMES order (unstandardized).
+
+    Reductions run along axis 1. Powers are written as products: ``**3``
+    and ``**4`` would go through libm ``pow``, which is several times slower.
+    """
+    block = np.asarray(windows, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] < 2:
+        raise UsageError(f"feature window needs >= 2 samples, got shape {block.shape[1:]}")
+    if not np.isfinite(block).all():
+        raise UsageError("feature window contains non-finite values")
+
+    mean = block.mean(axis=1)
+    centered = block - mean[:, None]
+    c2 = centered * centered
+    variance = c2.mean(axis=1)
+    std = np.sqrt(variance)
+    m3 = (c2 * centered).mean(axis=1)
+    m4 = (c2 * c2).mean(axis=1)
+    abs_x = np.abs(block)
+    peak = abs_x.max(axis=1)
+    avg_amplitude = abs_x.mean(axis=1)
+    rms = np.sqrt((block * block).mean(axis=1))
+    root_amplitude = np.sqrt(abs_x).mean(axis=1)
+    sqrt_amplitude = root_amplitude * root_amplitude
+    high = block.max(axis=1)
+    low = block.min(axis=1)
+
+    return np.stack([
+        high,
+        low,
+        mean,
+        std,
+        high - low,
+        avg_amplitude,
+        rms,
+        _ratio(m3, std * std * std),  # skewness
+        variance,
+        _ratio(rms, avg_amplitude),  # waveform indicator
+        _ratio(peak, avg_amplitude),  # pulse indicator
+        _ratio(m3, rms * rms * rms),  # twist index
+        _ratio(peak, rms),  # peak indicator
+        _ratio(peak, sqrt_amplitude),  # margin indicator
+        _ratio(m4, variance * variance),  # kurtosis index
+        sqrt_amplitude,
+    ])
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0; masked before dividing, so
+    a zero denominator raises no RuntimeWarning."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 @dataclass

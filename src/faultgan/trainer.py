@@ -181,6 +181,9 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             seconds=time.perf_counter() - t_epoch,
         ))
 
+    # the optimizer moments (two arrays per parameter) are dead; freeing them
+    # first keeps the serialized checkpoint out of the training peak memory
+    del gen_opt, disc_opt
     blob = serialize_state(state)
     if config.checkpoint_path is not None:
         path = Path(config.checkpoint_path)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from helpers import with_field
 
-from faultgan.cli import DEFAULTS, build_parser, main, parse_config_file
+from faultgan.cli import DEFAULTS, FEATURE_BLOCK_WINDOWS, build_parser, main, parse_config_file
 from faultgan.errors import ConfigError
-from faultgan.features import FEATURE_NAMES
+from faultgan.features import FEATURE_NAMES, extract_features
 
 FAST = [
     "--epochs", "2", "--batch-size", "4", "--subsample-len", "256",
@@ -81,6 +81,31 @@ def test_features_subcommand_writes_16_column_csv(tmp_path, data_dir):
     assert lines[0] == ",".join(FEATURE_NAMES)
     assert len(lines) == 1 + 1024 // 128
     assert all(len(line.split(",")) == 16 for line in lines[1:])
+
+
+def test_features_overlapping_stride_rows_match_their_windows(tmp_path):
+    series = np.random.default_rng(3).normal(size=1100).astype("<f4")
+    path = tmp_path / "series.f32"
+    path.write_bytes(series.tobytes())
+    out = tmp_path / "features.csv"
+    assert main(["features", "--input", str(path), "--window-len", "8", "--window-stride", "3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(FEATURE_NAMES)
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == (1100 - 8) // 3 + 1
+    for i, row in enumerate(rows):
+        window = series[3 * i : 3 * i + 8]
+        np.testing.assert_allclose(row, extract_features(window).as_array(), rtol=1e-12, atol=1e-15)
+
+    # stride 1 gives more windows than one block holds; rows stay in window order across blocks
+    assert main(["features", "--input", str(path), "--window-len", "8", "--window-stride", "1",
+                 "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 1100 - 8 + 1 > FEATURE_BLOCK_WINDOWS
+    for i in (0, FEATURE_BLOCK_WINDOWS - 1, FEATURE_BLOCK_WINDOWS, len(rows) - 1):
+        expected = extract_features(series[i : i + 8]).as_array()
+        np.testing.assert_allclose([float(v) for v in rows[i].split(",")], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_train_missing_glob_lists_pattern(tmp_path, capsys):

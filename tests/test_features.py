@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from helpers import identity_standardizer, naive_features
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultgan.errors import UsageError
 from faultgan.features import (
@@ -121,6 +123,59 @@ def test_feature_matrix_window_count():
 def test_feature_matrix_insufficient_samples():
     with pytest.raises(UsageError):
         feature_matrix(np.zeros(100), window_len=30, n_windows=4)
+
+
+@st.composite
+def _subsamples(draw):
+    """A float32 subsample of n_windows whole windows plus a partial remainder:
+    criterion 3's random windows, with hypothesis-placed spikes and some
+    constant and all-zero windows."""
+    window_len = draw(st.integers(2, 300))
+    n_windows = draw(st.integers(1, 60))
+    remainder = draw(st.integers(0, window_len - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.1, 4.0),
+                        size=window_len * n_windows + remainder).astype(np.float32)
+    for index, value in draw(st.lists(st.tuples(st.integers(0, values.size - 1),
+                                                st.floats(-1e4, 1e4, width=32)), max_size=5)):
+        values[index] = value
+    window = st.integers(0, n_windows - 1)
+    for w, level in draw(st.lists(st.tuples(window, st.floats(-1e3, 1e3, width=32)), max_size=3)):
+        values[w * window_len : (w + 1) * window_len] = level
+    for w in draw(st.lists(window, max_size=3)):
+        values[w * window_len : (w + 1) * window_len] = 0.0
+    return values, window_len, n_windows
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subsamples())
+def test_feature_matrix_matches_naive_reference_per_window(case):
+    values, window_len, n_windows = case
+    mat = feature_matrix(values, window_len, n_windows)
+    assert mat.shape == (16, n_windows)
+    for w in range(n_windows):
+        ref = naive_features(values[w * window_len : (w + 1) * window_len])
+        for i, name in enumerate(FEATURE_NAMES):
+            got, want = mat[i, w], ref[name]
+            err = abs(got - want) / max(1e-9, abs(want)) if want != 0 else abs(got)
+            assert err <= 1e-6, f"window {w} {name}: {got} vs {want}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_subsamples(), st.data())
+def test_feature_matrix_non_finite_only_matters_inside_windows(case, data):
+    values, window_len, n_windows = case
+    used = window_len * n_windows
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    inside = values.copy()
+    inside[data.draw(st.integers(0, used - 1))] = bad
+    with pytest.raises(UsageError, match="feature window contains non-finite values"):
+        feature_matrix(inside, window_len, n_windows)
+    if values.size > used:
+        outside = values.copy()
+        outside[data.draw(st.integers(used, values.size - 1))] = bad
+        np.testing.assert_array_equal(feature_matrix(outside, window_len, n_windows),
+                                      feature_matrix(values, window_len, n_windows))
 
 
 def _features_pipeline(window_len, n_windows, standardizer=None) -> InputPipeline:

@@ -1,6 +1,8 @@
 """Training loop contracts: normal-only gate, update scoping, determinism,
 NaN abort, and the checkpoint wire format."""
 
+import weakref
+
 import numpy as np
 import pytest
 from helpers import HEADER_FIELDS, count_calls, with_field
@@ -310,6 +312,25 @@ def test_features_training_extracts_each_window_once(monkeypatch):
     train(_tiny_config(epochs=1, subsample_len=320, pipeline_mode="features", feature_window_len=10), subs)
     assert len(calls) == len(subs)
     assert sorted(id(args[0]) for args in calls) == sorted(id(s.values) for s in subs)
+
+
+def test_optimizer_state_is_freed_before_the_checkpoint_is_serialized(monkeypatch):
+    optimizers, at_serialize = [], []
+    init_adam, serialize = trainer.init_adam, trainer.serialize_state
+
+    def tracked_init_adam(*args, **kwargs):
+        opt = init_adam(*args, **kwargs)
+        optimizers.append(weakref.ref(opt))
+        return opt
+
+    def checked_serialize(state):
+        at_serialize.append([r() for r in optimizers])
+        return serialize(state)
+
+    monkeypatch.setattr(trainer, "init_adam", tracked_init_adam)
+    monkeypatch.setattr(trainer, "serialize_state", checked_serialize)
+    train(_tiny_config(), _normal_subs(16))
+    assert at_serialize == [[None, None]]  # both optimizers' moment buffers are gone
 
 
 def test_missing_checkpoint_directory_fails_before_training(tmp_path, monkeypatch):
