@@ -12,6 +12,7 @@ import argparse
 import glob as globlib
 import multiprocessing
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,25 +36,16 @@ from .signal_io import (
 )
 from .trainer import TrainConfig, load_checkpoint, train
 
+# TrainConfig's fields that a flag or config key sets; the other two are
+# built from LossWeights' fields and from the --checkpoint path
+_TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in ("loss_weights", "checkpoint_path")]
+
 DEFAULTS = {
-    # training
-    "epochs": 20,
-    "batch_size": 64,
-    "lr": 0.001,
-    "beta1": 0.5,
-    "beta2": 0.999,
-    "latent_dim": 64,
-    "subsample_len": 12000,
+    # training: the defaults of TrainConfig and LossWeights
+    **{f.name: f.default for f in fields(TrainConfig) if f.name in _TRAIN_FIELDS},
+    **{f.name: f.default for f in fields(LossWeights)},
     "stride": 0,  # 0 means subsample_len (non-overlapping)
-    "pipeline_mode": "raw",
-    "w_fraud": 1.0,
-    "w_apparent": 50.0,
-    "w_latent": 1.0,
-    "seed": 0,
-    "base_channels": 16,
-    "n_down": 4,
     "train_fraction": 0.8,
-    "feature_window_len": 250,
     "column": "0",
     "sample_rate": 8192.0,
     # synthesis
@@ -137,21 +129,9 @@ def _load_subsamples(files: list[Path], cfg: dict, label: str) -> list:
 
 
 def _train_config(cfg: dict, checkpoint: Path | None) -> TrainConfig:
+    weights = LossWeights(**{f.name: cfg[f.name] for f in fields(LossWeights)})
     return TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        latent_dim=cfg["latent_dim"],
-        subsample_len=cfg["subsample_len"],
-        pipeline_mode=cfg["pipeline_mode"],
-        loss_weights=LossWeights(cfg["w_fraud"], cfg["w_apparent"], cfg["w_latent"]),
-        seed=cfg["seed"],
-        checkpoint_path=checkpoint,
-        base_channels=cfg["base_channels"],
-        n_down=cfg["n_down"],
-        feature_window_len=cfg["feature_window_len"],
+        **{name: cfg[name] for name in _TRAIN_FIELDS}, loss_weights=weights, checkpoint_path=checkpoint
     )
 
 

@@ -78,7 +78,7 @@ class ConvT(Conv):
 
 
 class BatchNorm:
-    """Batch norm with ``batchnorm1d``'s fixed momentum (0.1) and eps (1e-5)."""
+    """Batch norm with ``batchnorm1d``'s fixed ``BN_MOMENTUM`` (0.1) and ``BN_EPS`` (1e-5)."""
 
     def __init__(self, gamma: Tensor, beta: Tensor):
         self.gamma = gamma
@@ -124,8 +124,8 @@ class Arch:
     input_channels: int
     input_len: int  # padded network length, a multiple of 2**n_down
     latent_dim: int
-    base_channels: int = 16
-    n_down: int = 4
+    base_channels: int
+    n_down: int
 
     def __post_init__(self):
         if self.n_down < 1:

@@ -12,6 +12,8 @@ from . import kernels
 from .tensor import Tensor, _lift, _make, clip
 
 BCE_CLAMP = 1e-7  # predictions are clamped to [BCE_CLAMP, 1 - BCE_CLAMP] before logs
+BN_MOMENTUM = 0.1  # weight of a train-mode batch's statistics in the running stats
+BN_EPS = 1e-5  # added to the variance before its square root
 
 
 def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -94,16 +96,15 @@ def batchnorm1d(
     beta: Tensor,
     stats: BatchNormStats,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
     slope: float | None = None,
 ) -> Tensor:
     """Normalize [B, C, L] per channel, apply the gamma/beta affine, then an
     optional leaky ReLU (slope 0 is ReLU, None is no activation), as one node.
 
     Train mode normalizes with batch statistics over (B, L) and folds them
-    into the running stats; eval mode normalizes with the running stats,
-    folded into one per-channel scale and shift. The backward pass is the
+    into the running stats with weight ``BN_MOMENTUM``; eval mode normalizes
+    with the running stats, folded into one per-channel scale and shift.
+    Both add ``BN_EPS`` to the variance. The backward pass is the
     closed form of Ioffe & Szegedy (2015), so train mode saves only the
     normalized input, the per-channel inverse std and the activation mask.
     """
@@ -114,8 +115,6 @@ def batchnorm1d(
         raise DimensionError(
             f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {channels} channels"
         )
-    if eps <= 0:
-        raise UsageError(f"epsilon must be positive, got {eps}")
 
     col = (1, channels, 1)
     x_data, gamma_data = x.data, gamma.data
@@ -125,10 +124,10 @@ def batchnorm1d(
         xhat = x_data - mu
         out = np.square(xhat)
         var = out.mean(axis=(0, 2), keepdims=True)
-        m = np.float32(momentum)
+        m = np.float32(BN_MOMENTUM)
         stats.mean[...] = (1 - m) * stats.mean + m * mu.reshape(-1)
         stats.var[...] = (1 - m) * stats.var + m * var.reshape(-1)
-        inv_std = 1.0 / np.sqrt(var + np.float32(eps))
+        inv_std = 1.0 / np.sqrt(var + np.float32(BN_EPS))
         xhat *= inv_std
         np.multiply(xhat, gamma_data.reshape(col), out=out)
         out += beta.data.reshape(col)
@@ -150,7 +149,7 @@ def batchnorm1d(
         return _make(out, (x, gamma, beta), backward)
 
     mean = stats.mean.reshape(col).copy()  # a later train-mode call updates stats in place
-    inv_std = 1.0 / np.sqrt(stats.var.reshape(col) + np.float32(eps))
+    inv_std = 1.0 / np.sqrt(stats.var.reshape(col) + np.float32(BN_EPS))
     scale = gamma_data.reshape(col) * inv_std
     out = x_data * scale
     out += beta.data.reshape(col) - mean * scale

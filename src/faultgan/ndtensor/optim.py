@@ -2,25 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DimensionError, UsageError
 from .tensor import Tensor
 
+ADAM_EPS = 1e-8  # added to the root of the second moment before dividing
+
 
 @dataclass
 class AdamState:
     """Optimizer state: step counter plus per-parameter moment buffers."""
 
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+    learning_rate: float
+    beta1: float
+    beta2: float
+    step_count: int
+    first_moment: list
+    second_moment: list
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -28,8 +29,6 @@ class AdamState:
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 < b < 1.0:
                 raise UsageError(f"{name} must lie in (0, 1), got {b}")
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def init_adam(
@@ -37,13 +36,11 @@ def init_adam(
     learning_rate: float = 1e-3,
     beta1: float = 0.9,
     beta2: float = 0.999,
-    epsilon: float = 1e-8,
 ) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
         beta1=beta1,
         beta2=beta2,
-        epsilon=epsilon,
         step_count=0,
         first_moment=[np.zeros_like(p.data) for p in params],
         second_moment=[np.zeros_like(p.data) for p in params],
@@ -64,7 +61,7 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    lr, eps = state.learning_rate, state.epsilon
+    lr = state.learning_rate
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     step_scale = lr / bias1
@@ -83,10 +80,10 @@ def adam_step(params: list[Tensor], grads: list, state: AdamState):
         np.multiply(g, g, out=buf)
         buf *= 1.0 - b2
         v += buf
-        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + ADAM_EPS)
         np.divide(v, bias2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += eps
+        buf += ADAM_EPS
         np.divide(m, buf, out=buf)
         buf *= step_scale
         p.data -= buf

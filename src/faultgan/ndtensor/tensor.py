@@ -74,9 +74,6 @@ class Tensor:
             raise UsageError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

@@ -128,7 +128,7 @@ def load_csv(path, column=0, sample_rate_hz: float = 1.0, label: str = LABEL_UNL
             raise DataFormatError(
                 f"{path}: row {row_number}: cannot parse {row[col_idx]!r} as a number"
             ) from None
-    return TimeSeries(values=values, sample_rate_hz=sample_rate_hz, label=label)
+    return _file_series(path, values, sample_rate_hz, label)
 
 
 def _all_numeric(cells) -> bool:
@@ -149,7 +149,15 @@ def load_f32_binary(path, sample_rate_hz: float = 1.0, label: str = LABEL_UNLABE
     if len(raw) % 4 != 0:
         raise DataFormatError(f"{path}: size {len(raw)} is not a multiple of 4 bytes")
     values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    return TimeSeries(values=values, sample_rate_hz=sample_rate_hz, label=label)
+    return _file_series(path, values, sample_rate_hz, label)
+
+
+def _file_series(path: Path, values: np.ndarray, sample_rate_hz: float, label: str) -> TimeSeries:
+    """The TimeSeries of a file's samples; a data error names the file."""
+    try:
+        return TimeSeries(values=values, sample_rate_hz=sample_rate_hz, label=label)
+    except DataFormatError as err:
+        raise DataFormatError(f"{path}: {err}") from None
 
 
 def write_f32_binary(series: TimeSeries, path) -> None:

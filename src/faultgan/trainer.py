@@ -303,6 +303,10 @@ def _read_state(stream, origin: str) -> ModelState:
     if layout_window != window_len:  # raw mode stores window_len 0
         raise DataFormatError(f"{origin}: feature window length {window_len} in a {mode}-mode checkpoint")
     mean, std = np.frombuffer(r.take(8 * arch.input_channels), dtype="<f4").astype(np.float32).reshape(2, -1)
+    if not (np.isfinite(mean).all() and (np.isfinite(std) & (std > 0)).all()):
+        raise DataFormatError(
+            f"{origin}: corrupt standardizer: every mean must be finite and every std finite and positive"
+        )
     need, have = 4 * state_size(arch), r.left()
     if need > have:
         raise DataFormatError(

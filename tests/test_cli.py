@@ -164,6 +164,28 @@ def test_corrupt_data_file_is_format_error(tmp_path, checkpoint, capsys):
     assert "multiple of 4" in capsys.readouterr().err
 
 
+def test_non_finite_f32_sample_names_its_file(tmp_path, checkpoint, capsys):
+    bad = tmp_path / "bad.f32"
+    values = np.zeros(512, dtype="<f4")
+    values[300] = np.nan
+    bad.write_bytes(values.tobytes())
+    assert main(["score", "--checkpoint", str(checkpoint),
+                 "--data", str(bad), "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "non-finite" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_non_finite_csv_cell_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("v\n1.0\nnan\n2.0\n")
+    assert main(["features", "--input", str(bad), "--window-len", "2",
+                 "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "non-finite" in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_data_glob_matching_a_directory_is_usage_error(tmp_path, checkpoint, capsys):
     (tmp_path / "x.f32").mkdir()
     assert main(["score", "--checkpoint", str(checkpoint),

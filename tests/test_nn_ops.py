@@ -176,6 +176,29 @@ def test_adjoint_identity(seed):
     assert abs(lhs - rhs) <= 1e-4 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("stride,padding,k,length", [
+    (2, 1, 4, 16), (2, 1, 4, 750), (2, 1, 4, 2),  # the encoder/decoder pyramid
+    (1, 0, 8, 8), (1, 0, 750, 750), (1, 0, 1, 1),  # the full-length heads
+])
+def test_adjoint_pair_is_bit_exact(stride, padding, k, length):
+    # on exact-fit shapes each convolution's input gradient is the other's
+    # forward, to the bit: both run on the same gather and scatter cores
+    rng = np.random.default_rng(k + length)
+    kern = rng.normal(size=(6, 5, k)).astype(np.float32)  # conv1d [Co, Ci, k]; conv_transpose1d [Ci, Co, k]
+    x = rng.normal(size=(3, 5, length)).astype(np.float32)
+    out, col = kernels.conv1d_forward(x, kern, None, stride, padding)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    grad_x = kernels.conv1d_backward(g, x.shape, kern, col, stride, padding)[0]
+    assert np.array_equal(grad_x, kernels.conv_transpose1d_forward(g, kern, None, stride, padding))
+
+    xt = rng.normal(size=out.shape).astype(np.float32)
+    out_t = kernels.conv_transpose1d_forward(xt, kern, None, stride, padding)
+    assert out_t.shape == x.shape
+    g_t = rng.normal(size=out_t.shape).astype(np.float32)
+    grad_xt = kernels.conv_transpose1d_backward(g_t, xt, kern, stride, padding)[0]
+    assert np.array_equal(grad_xt, kernels.conv1d_forward(g_t, kern, None, stride, padding)[0])
+
+
 # -- batchnorm1d ---------------------------------------------------------------
 
 
@@ -242,7 +265,7 @@ def test_batchnorm_eval_uses_running_stats():
 def test_batchnorm_updates_running_stats_in_train():
     gamma, beta, stats = _bn_args(1)
     x = np.full((1, 1, 4), 10.0, dtype=np.float32)
-    batchnorm1d(Tensor(x), gamma, beta, stats, train=True, momentum=0.1)
+    batchnorm1d(Tensor(x), gamma, beta, stats, train=True)
     assert stats.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 10.0)
     assert stats.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
 
@@ -257,7 +280,7 @@ def test_gradcheck_batchnorm(seed):
     tx = Tensor(x, requires_grad=True)
     tg = Tensor(gamma, requires_grad=True)
     tb = Tensor(beta, requires_grad=True)
-    out = batchnorm1d(tx, tg, tb, BatchNormStats.fresh(2), train=True, eps=eps)
+    out = batchnorm1d(tx, tg, tb, BatchNormStats.fresh(2), train=True)
     w = rng.normal(size=out.shape)
 
     def reference(xv, gv, bv):
@@ -310,7 +333,7 @@ def test_fused_batchnorm_matches_unfused(seed, train, slope):
     for op in (batchnorm1d, _unfused_batchnorm):
         tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
         stats = BatchNormStats(mean=stats0.mean.copy(), var=stats0.var.copy())
-        out = op(tx, tg, tb, stats, train, 0.1, 1e-5, slope)
+        out = op(tx, tg, tb, stats, train, slope=slope)
         (out * Tensor(w)).sum().backward()
         results.append((out.data, stats.mean, stats.var, tx.grad, tg.grad, tb.grad))
     fused, unfused = results
@@ -354,7 +377,7 @@ def test_gradcheck_fused_batchnorm(seed, train, slope):
         return (y * w).sum()
 
     tx, tg, tb = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
-    out = batchnorm1d(tx, tg, tb, stats, train=train, eps=eps, slope=slope)
+    out = batchnorm1d(tx, tg, tb, stats, train=train, slope=slope)
     check_grads((out * Tensor(w)).sum(), [tx, tg, tb], reference, [x, gamma, beta])
 
 

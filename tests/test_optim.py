@@ -44,7 +44,7 @@ def test_multi_step_matches_reference():
     rng = np.random.default_rng(3)
     grads = rng.normal(size=6)
     p = Tensor([0.7], requires_grad=True)
-    state = init_adam([p], learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    state = init_adam([p], learning_rate=lr, beta1=b1, beta2=b2)
     expected = reference_adam(0.7, grads, lr, b1, b2, eps)
     for g, want in zip(grads, expected):
         adam_step([p], [np.array([g], dtype=np.float32)], state)

@@ -1,11 +1,12 @@
 """Training loop contracts: normal-only gate, update scoping, determinism,
 NaN abort, and the checkpoint wire format."""
 
+import struct
 import weakref
 
 import numpy as np
 import pytest
-from helpers import HEADER_FIELDS, count_calls, with_field
+from helpers import HEADER_FIELDS, count_calls, field_offset, with_field
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -395,6 +396,21 @@ def test_header_n_windows_checked_in_features_mode(small_blobs):
     for bad_window in (1, 321):  # shorter than 2 samples, longer than the subsample
         with pytest.raises(DataFormatError, match="corrupt checkpoint header"):
             deserialize_state(with_field(small_blobs[1], "window_len", bad_window))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("part,value", [
+    ("std", 0.0), ("std", np.nan), ("std", np.inf), ("std", -1.0), ("mean", np.nan),
+])
+def test_corrupt_standardizer_is_format_error(small_blobs, which, part, value):
+    # zero, negative or non-finite spreads and non-finite means would load and
+    # give NaN, constant or plausible but wrong scores
+    blob = bytearray(small_blobs[which])
+    channels = deserialize_state(small_blobs[which]).pipeline.channels
+    mean_offset = field_offset("n_down")[0] + 4  # the statistics follow the header
+    struct.pack_into("<f", blob, mean_offset + (4 * channels if part == "std" else 0), value)
+    with pytest.raises(DataFormatError, match="corrupt standardizer"):
+        deserialize_state(bytes(blob))
 
 
 def _loads_or_format_error(blob: bytes) -> None:
