@@ -3,12 +3,13 @@ compute AUC and accuracy, and write the report files for external plotting."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .model import ModelState, generator_forward
 from .ndtensor import Tensor, no_grad
 from .signal_io import Subsample, is_fault, write_atomic
@@ -71,20 +72,18 @@ def _forward_batches(state: ModelState, samples: list[Subsample]):
 
 
 def score_dataset(state: ModelState, samples: list[Subsample]) -> list[ScoredSample]:
-    """Eval-mode anomaly score per subsample, order-preserving."""
+    """Eval-mode anomaly score per subsample, order-preserving. Raises a
+    NumericalError naming the first window whose score is not finite."""
     scored: list[ScoredSample] = []
     for start, chunk, x, x_hat, z, z_hat in _forward_batches(state, samples):
         l_a = np.mean(np.abs(x - x_hat), axis=(1, 2))
         l_l = np.mean((z - z_hat) ** 2, axis=1)
         for i, sub in enumerate(chunk):
             la, ll = float(l_a[i]), float(l_l[i])
-            scored.append(ScoredSample(
-                score=la + ll,
-                l_apparent=la,
-                l_latent=ll,
-                label=sub.label,
-                source=_sample_id(sub, start + i),
-            ))
+            source = _sample_id(sub, start + i)
+            if not math.isfinite(la + ll):
+                raise NumericalError(f"non-finite anomaly score for {source}")
+            scored.append(ScoredSample(score=la + ll, l_apparent=la, l_latent=ll, label=sub.label, source=source))
     return scored
 
 

@@ -4,11 +4,12 @@ their four loss functions, and the input pipeline.
 Layer plan: the encoder applies n_down stride-2 convolutions (kernel 4,
 padding 1), doubling channels from base_channels, with batch norm and leaky
 ReLU after every stage except that the first stage skips batch norm; a final
-full-length convolution maps to the latent vector. The decoder mirrors this
-with transposed convolutions, batch norm and ReLU, ending in a plain affine
-transposed convolution so reconstructions are unbounded (no squashing). The
-discriminator reuses the encoder pyramid with a sigmoid head; its flattened
-penultimate activation is the feature map used for feature matching.
+dense layer (one GEMM over the flattened bottom activation) maps to the latent
+vector. The decoder mirrors this with transposed convolutions, batch norm and
+ReLU, ending in a plain affine transposed convolution so reconstructions are
+unbounded (no squashing). The discriminator reuses the encoder pyramid with a
+sigmoid head; its flattened penultimate activation is the feature map used for
+feature matching.
 """
 
 from __future__ import annotations
@@ -54,16 +55,15 @@ class LossWeights:
 
 
 class Conv:
-    """A convolution layer's parameters; bias is omitted under batch norm."""
+    """A pyramid stage's convolution (kernel KERNEL_SIZE, stride 2, padding 1);
+    bias is omitted under batch norm."""
 
-    def __init__(self, kernel: Tensor, bias: Tensor | None, stride: int, padding: int):
+    def __init__(self, kernel: Tensor, bias: Tensor | None):
         self.kernel = kernel
         self.bias = bias
-        self.stride = stride
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.kernel, self.bias, self.stride, self.padding)
+        return conv1d(x, self.kernel, self.bias, 2, 1)
 
     def params(self) -> list[Tensor]:
         return [self.kernel] + ([self.bias] if self.bias is not None else [])
@@ -74,7 +74,29 @@ class Conv:
 
 class ConvT(Conv):
     def __call__(self, x: Tensor) -> Tensor:
-        return conv_transpose1d(x, self.kernel, self.bias, self.stride, self.padding)
+        return conv_transpose1d(x, self.kernel, self.bias, 2, 1)
+
+
+class Dense(Conv):
+    """A head whose [O, C, L] kernel spans its whole [B, C, L] input: a dense
+    layer to [B, O], run as one kernel-1 convolution (a single GEMM) over the
+    flattened input. The kernel keeps its convolution shape in checkpoints."""
+
+    def __call__(self, h: Tensor) -> Tensor:
+        batch, out_ch = h.shape[0], self.kernel.shape[0]
+        out = conv1d(h.reshape((batch, -1, 1)), self.kernel.reshape((out_ch, -1, 1)), self.bias)
+        return out.reshape((batch, out_ch))
+
+
+class DenseT(ConvT):
+    """The transposed head: [B, I] through an [I, O, L] kernel to [B, O, L],
+    as one kernel-1 transposed convolution."""
+
+    def __call__(self, z: Tensor) -> Tensor:
+        in_ch, out_ch, length = self.kernel.shape
+        batch = z.shape[0]
+        out = conv_transpose1d(z.reshape((batch, in_ch, 1)), self.kernel.reshape((in_ch, -1, 1)), self.bias)
+        return out.reshape((batch, out_ch, length))
 
 
 class BatchNorm:
@@ -103,12 +125,11 @@ def _init_normal(rng, mean: float, shape) -> np.ndarray:
     return rng.normal(mean, INIT_STD, shape).astype(np.float32)
 
 
-def _init_conv(rng, shape, with_bias: bool, stride: int, padding: int, transposed=False) -> Conv:
+def _init_conv(rng, shape, cls: type[Conv], with_bias: bool) -> Conv:
     kernel = Tensor(_init_normal(rng, 0.0, shape), requires_grad=True)
-    n_bias = shape[1] if transposed else shape[0]
+    n_bias = shape[1] if issubclass(cls, ConvT) else shape[0]
     bias = Tensor(np.zeros(n_bias, dtype=np.float32), requires_grad=True) if with_bias else None
-    cls = ConvT if transposed else Conv
-    return cls(kernel, bias, stride, padding)
+    return cls(kernel, bias)
 
 
 def _init_bn(rng, channels: int) -> BatchNorm:
@@ -170,17 +191,15 @@ class Encoder(_Network):
         self.stages = []
         in_ch = arch.input_channels
         for i, out_ch in enumerate(arch.stage_channels()):
-            conv = _init_conv(rng, (out_ch, in_ch, KERNEL_SIZE), with_bias=i == 0, stride=2, padding=1)
+            conv = _init_conv(rng, (out_ch, in_ch, KERNEL_SIZE), Conv, with_bias=i == 0)
             bn = None if i == 0 else _init_bn(rng, out_ch)
             self.stages.append((conv, bn))
             in_ch = out_ch
-        self.head = _init_conv(rng, (arch.latent_dim, in_ch, arch.bottom_len), with_bias=True, stride=1, padding=0)
+        self.head = _init_conv(rng, (arch.latent_dim, in_ch, arch.bottom_len), Dense, with_bias=True)
         self.layers = [layer for stage in self.stages for layer in stage if layer is not None] + [self.head]
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        h = self._body(x, train)
-        z = self.head(h)
-        return z.reshape((x.shape[0], self.arch.latent_dim))
+        return self.head(self._body(x, train))
 
     def _body(self, x: Tensor, train: bool) -> Tensor:
         h = x
@@ -195,29 +214,19 @@ class Decoder(_Network):
 
     def __init__(self, arch: Arch, rng):
         self.arch = arch
-        self.head = _init_conv(
-            rng, (arch.latent_dim, arch.top_channels, arch.bottom_len),
-            with_bias=False, stride=1, padding=0, transposed=True,
-        )
+        self.head = _init_conv(rng, (arch.latent_dim, arch.top_channels, arch.bottom_len), DenseT, with_bias=False)
         self.head_bn = _init_bn(rng, arch.top_channels)
         self.stages = []
         channels = arch.stage_channels()
         for i in range(arch.n_down - 1, 0, -1):
-            conv = _init_conv(
-                rng, (channels[i], channels[i - 1], KERNEL_SIZE),
-                with_bias=False, stride=2, padding=1, transposed=True,
-            )
+            conv = _init_conv(rng, (channels[i], channels[i - 1], KERNEL_SIZE), ConvT, with_bias=False)
             bn = _init_bn(rng, channels[i - 1])
             self.stages.append((conv, bn))
-        self.final = _init_conv(
-            rng, (arch.base_channels, arch.input_channels, KERNEL_SIZE),
-            with_bias=True, stride=2, padding=1, transposed=True,
-        )
+        self.final = _init_conv(rng, (arch.base_channels, arch.input_channels, KERNEL_SIZE), ConvT, with_bias=True)
         self.layers = [self.head, self.head_bn, *(layer for stage in self.stages for layer in stage), self.final]
 
     def forward(self, z: Tensor, train: bool) -> Tensor:
-        h = z.reshape((z.shape[0], self.arch.latent_dim, 1))
-        h = self.head_bn(self.head(h), train, 0.0)
+        h = self.head_bn(self.head(z), train, 0.0)
         for conv, bn in self.stages:
             h = bn(conv(h), train, 0.0)
         return self.final(h)  # plain affine output, deliberately unbounded

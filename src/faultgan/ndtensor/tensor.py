@@ -1,19 +1,25 @@
 """Dense float32 tensors with tape-based reverse-mode automatic differentiation.
 
 A Tensor wraps a contiguous float32 numpy array. Operations on tensors build a
-graph of parent links and backward closures on the fly; calling ``backward()``
-on a scalar walks that graph in reverse topological order, accumulates
-gradients into every reachable tensor that requires them, and then frees the
-graph so memory stays bounded per training step.
+graph of parent links and backward closures on the fly, numbering each node as
+it is made; calling ``backward()`` on a scalar visits the reached nodes newest
+first (a valid reverse topological order, since every parent is older than its
+consumers), accumulates gradients into every reachable tensor that requires
+them, and unlinks each node as soon as its gradients are passed on, so its
+closure and the activations that closure holds die during the pass.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 
 from ..errors import DimensionError, UsageError
 
 _grad_enabled = True
+_creation = itertools.count()  # numbers graph nodes in the order they are made
 
 
 class no_grad:
@@ -47,7 +53,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Dense n-dimensional float32 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
@@ -90,44 +96,26 @@ class Tensor:
         """Populate ``grad`` on every reachable tensor that requires it.
 
         Only valid on scalars. Repeated calls on fresh graphs accumulate into
-        existing grad buffers; the traversed graph is freed afterwards.
+        existing grad buffers. Nodes are visited newest first, and each one is
+        unlinked from the graph as soon as its gradients are passed on.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar loss, got shape {self.shape}")
-        topo = self._toposort()
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
-                continue
-            parent_grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, parent_grads):
-                if g is None:
-                    continue
-                if not (parent.requires_grad or parent._backward is not None):
+        heap = [(-self._seq, self)] if self._backward is not None else []
+        while heap:
+            node = heapq.heappop(heap)[1]
+            parents, backward_fn = node._parents, node._backward
+            node._parents, node._backward = (), None
+            for parent, g in zip(parents, backward_fn(node.grad)):
+                if g is None or not (parent.requires_grad or parent._backward is not None):
                     continue
                 if parent.grad is None:
                     parent.grad = np.array(g, dtype=np.float32)
+                    if parent._backward is not None:
+                        heapq.heappush(heap, (-parent._seq, parent))
                 else:
                     parent.grad += g
-        for node in topo:
-            node._parents = ()
-            node._backward = None
-
-    def _toposort(self) -> list:
-        order, seen, stack = [], set(), [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return order
 
     # -- operator sugar ---------------------------------------------------
 
@@ -196,6 +184,7 @@ def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
+        out._seq = next(_creation)
     return out
 
 

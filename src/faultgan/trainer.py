@@ -141,10 +141,8 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             idx = perm[b * config.batch_size : (b + 1) * config.batch_size]
             x = Tensor(inputs[idx])
 
-            # generator forward and backward: the discriminator is frozen so
-            # it accumulates no grad
-            for p in disc_params:
-                p.requires_grad = False
+            # generator forward and backward; the discriminator's grads it
+            # also fills are cleared by the discriminator step's zero_grad
             for p in gen_params:
                 p.zero_grad()
             x_hat, z, z_hat = generator_forward(state.generator, x, train=True)
@@ -155,8 +153,6 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             gen_losses = {"total": total.item(), "l_f": l_f.item(), "l_a": l_a.item(), "l_l": l_l.item()}
             _check_finite(epoch, b, gen_losses)
             total.backward()
-            for p in disc_params:
-                p.requires_grad = True
 
             # discriminator loss on the real batch and the detached fake; it
             # is checked before either network is updated, so an abort leaves

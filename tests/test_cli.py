@@ -176,6 +176,16 @@ def test_non_finite_f32_sample_names_its_file(tmp_path, checkpoint, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_score_exits_3_naming_its_window(tmp_path, checkpoint, capsys):
+    big = tmp_path / "big.f32"
+    big.write_bytes(np.full(512, 3e37, dtype="<f4").tobytes())
+    assert main(["score", "--checkpoint", str(checkpoint),
+                 "--data", str(big), "--out", str(tmp_path / "s.csv")]) == 3
+    assert "non-finite anomaly score for big.f32@0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_non_finite_csv_cell_names_its_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("v\n1.0\nnan\n2.0\n")

@@ -5,7 +5,7 @@ import pytest
 from helpers import count_calls, identity_standardizer
 
 from faultgan import evaluator, model
-from faultgan.errors import UsageError
+from faultgan.errors import NumericalError, UsageError
 from faultgan.evaluator import (
     EvalReport,
     ScoredSample,
@@ -248,6 +248,14 @@ def test_evaluate_report_contents():
     assert report.n_normal == 6 and report.n_fault == 4
     assert min(report.normalized) == 0.0 and max(report.normalized) == 1.0
     assert len(report.recon_pairs) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_rejects_a_non_finite_score_naming_its_window():
+    subs = _mixed_subs(np.random.default_rng(9))
+    subs[3] = Subsample(values=np.full(32, 3e37, dtype=np.float32), source_offset=64, label="normal", source="big")
+    with pytest.raises(NumericalError, match="non-finite anomaly score for big@64"):
+        evaluate(_tiny_state(), subs)
 
 
 def test_emit_report_files(tmp_path):

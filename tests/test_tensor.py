@@ -1,11 +1,16 @@
 """Autodiff engine core: graph mechanics, broadcasting, elementwise gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 from helpers import check_grads
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultgan.errors import UsageError
 from faultgan.ndtensor import Tensor, clip, no_grad
+from faultgan.ndtensor.tensor import _make
 
 SEEDS = range(20)
 
@@ -54,6 +59,27 @@ def test_graph_freed_after_backward():
     loss.backward()
     assert loss._parents == () and loss._backward is None
     assert y._parents == () and y._backward is None
+
+
+def test_backward_releases_each_node_before_its_parents():
+    # x -> y = x*2 -> z -> loss: z and its data must be gone by the time y's
+    # closure runs, not kept until the whole pass ends
+    x = Tensor([1.0], requires_grad=True)
+    y = x * 2.0
+    watched = np.ones(1, dtype=np.float32)
+    z_data_alive = weakref.ref(watched)
+    loss = _make(watched, (y,), lambda g: (g,)).sum()
+    del watched
+    y_backward, z_gone = y._backward, []
+
+    def recording(g):
+        z_gone.append(z_data_alive() is None)
+        return y_backward(g)
+
+    y._backward = recording
+    loss.backward()
+    assert z_gone == [True]
+    np.testing.assert_allclose(x.grad, [2.0])
 
 
 def test_no_grad_suppresses_graph():
@@ -193,3 +219,27 @@ def test_gradcheck_reductions_and_reshape(seed):
         lambda v: (v.reshape(3, 8) * w).mean() + v.sum(axis=1).sum() * 0.25,
         [x],
     )
+
+
+_DAG_OPS = st.lists(
+    st.tuples(st.sampled_from("+-*"), st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_DAG_OPS, seed=st.integers(0, 2**32 - 1))
+def test_gradcheck_random_dags(ops, seed):
+    """Each op consumes any two earlier nodes (fan-out and self-products
+    included); both leaves also reach the loss through a*b."""
+
+    def build(a, b):
+        nodes = [a, b]
+        for op, i, j in ops:
+            lhs, rhs = nodes[i % len(nodes)], nodes[j % len(nodes)]
+            nodes.append(lhs + rhs if op == "+" else lhs - rhs if op == "-" else lhs * rhs)
+        return (nodes[-1] + a * b).sum()
+
+    rng = np.random.default_rng(seed)
+    arrays = [_rand(rng, (3,), signed=True), _rand(rng, (3,), signed=True)]
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    check_grads(build(*inputs), inputs, build, arrays)
