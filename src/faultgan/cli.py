@@ -246,6 +246,8 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if args.axis not in ("subsample_len", "latent_dim"):
         raise UsageError(f"sweep axis must be subsample_len or latent_dim, got {args.axis!r}")
+    if args.parallel < 1:
+        raise UsageError(f"--parallel must be >= 1, got {args.parallel}")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -255,8 +257,9 @@ def cmd_sweep(args) -> int:
     normal_files = [str(p) for p in _expand_glob(args.normal)]
     fault_files = [str(p) for p in _expand_glob(args.fault)]
     jobs = [(cfg, args.axis, v, normal_files, fault_files) for v in values]
-    if args.parallel > 1:
-        with multiprocessing.Pool(args.parallel) as pool:
+    processes = min(args.parallel, len(jobs))
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.map(_sweep_point, jobs)
     else:
         results = [_sweep_point(job) for job in jobs]

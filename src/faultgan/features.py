@@ -17,26 +17,6 @@ import numpy as np
 
 from .errors import UsageError
 
-FEATURE_NAMES = (
-    "max",
-    "min",
-    "mean",
-    "std",
-    "peak_to_peak",
-    "avg_amplitude",
-    "rms",
-    "skewness",
-    "variance",
-    "waveform_indicator",
-    "pulse_indicator",
-    "twist_index",
-    "peak_indicator",
-    "margin_indicator",
-    "kurtosis_index",
-    "sqrt_amplitude",
-)
-
-
 @dataclass
 class FeatureVector:
     """The 16 descriptors of one window, in the canonical output order."""
@@ -60,6 +40,9 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def extract_features(window) -> FeatureVector:

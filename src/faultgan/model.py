@@ -14,7 +14,7 @@ feature matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -313,36 +313,61 @@ MODE_CHANNELS = {"raw": 1, "features": len(FEATURE_NAMES)}  # network input chan
 
 @dataclass
 class InputPipeline:
-    """Turns raw subsamples into standardized, padded network inputs.
+    """Turns raw subsamples into standardized, padded network inputs, and is
+    the one place that decides and checks the input geometry.
 
     mode "raw" feeds the subsample as one channel; mode "features" feeds the
-    16-channel statistical feature sequence. Standardization statistics come
-    from the training set and travel with the checkpoint.
+    16-channel statistical feature sequence of its whole windows. Either is
+    reflect-padded to ``net_len``, the next multiple of 2^n_down, so the
+    stride-2 pyramid halves it exactly. Standardization statistics come from
+    the training set and travel with the checkpoint.
     """
 
     mode: str
     subsample_len: int
-    net_len: int
-    standardizer: Standardizer
-    window_len: int = 0  # features mode only
-    n_windows: int = 0
+    window_len: int  # 0 in raw mode
+    n_down: int
+    standardizer: Standardizer | None = None  # set by fit_inputs or the checkpoint reader
+    net_len: int = field(init=False)
 
     def __post_init__(self):
         if self.mode not in MODE_CHANNELS:
             raise UsageError(f"pipeline mode must be 'raw' or 'features', got {self.mode!r}")
+        if self.n_down < 0:
+            raise UsageError(f"n_down must be >= 0, got {self.n_down}")
+        if self.mode == "raw":
+            if self.window_len != 0:
+                raise UsageError(f"feature window length {self.window_len} in a raw-mode pipeline")
+        elif self.window_len < 2 or self.window_len > self.subsample_len:
+            raise UsageError(
+                f"feature window length {self.window_len} incompatible with subsample {self.subsample_len}"
+            )
+        self.net_len = padded_length(self.seq_len, self.n_down)
+        if self.net_len - self.seq_len >= self.seq_len:
+            raise UsageError(
+                f"sequence length {self.seq_len} too short to reflect-pad to {self.net_len}; "
+                f"reduce n_down or enlarge the input"
+            )
 
     @property
     def channels(self) -> int:
         return MODE_CHANNELS[self.mode]
 
     @property
+    def n_windows(self) -> int:
+        return self.subsample_len // self.window_len if self.mode == "features" else 0
+
+    @property
     def seq_len(self) -> int:
         return self.subsample_len if self.mode == "raw" else self.n_windows
 
+    def arch(self, latent_dim: int, base_channels: int) -> Arch:
+        """The architecture of a network over this pipeline's inputs."""
+        return Arch(self.channels, self.net_len, latent_dim, base_channels, self.n_down)
+
     def prepare(self, values: np.ndarray) -> np.ndarray:
         """One subsample's values -> standardized [C, net_len] float32 array."""
-        rows = _channel_rows(values, self.mode, self.subsample_len, self.window_len, self.n_windows)
-        return self._standardize_and_pad(rows)
+        return self._standardize_and_pad(self._rows(values))
 
     def prepare_batch(self, subsamples) -> np.ndarray:
         return np.stack([self.prepare(s.values) for s in subsamples])
@@ -350,6 +375,15 @@ class InputPipeline:
     def restore(self, net_output: np.ndarray) -> np.ndarray:
         """Undo standardization and padding of one [C, net_len] network output."""
         return self.standardizer.inverse(net_output.astype(np.float64))[:, : self.seq_len]
+
+    def _rows(self, values: np.ndarray) -> np.ndarray:
+        """One subsample -> its unstandardized float64 [C, seq_len] rows: the
+        signal itself as one channel, or its 16-channel feature sequence."""
+        if values.size != self.subsample_len:
+            raise DimensionError(f"expected subsample of {self.subsample_len} samples, got {values.size}")
+        if self.mode == "raw":
+            return np.asarray(values, dtype=np.float64)[None, :]
+        return feature_matrix(values, self.window_len, self.n_windows)
 
     def _standardize_and_pad(self, rows: np.ndarray) -> np.ndarray:
         rows = self.standardizer.transform(rows)
@@ -359,39 +393,9 @@ class InputPipeline:
         return rows.astype(np.float32)
 
 
-def _channel_rows(values: np.ndarray, mode: str, subsample_len: int, window_len: int, n_windows: int) -> np.ndarray:
-    """One subsample -> its unstandardized float64 [C, seq_len] rows: the
-    signal itself as one channel, or its 16-channel feature sequence."""
-    if values.size != subsample_len:
-        raise DimensionError(f"expected subsample of {subsample_len} samples, got {values.size}")
-    if mode == "raw":
-        return np.asarray(values, dtype=np.float64)[None, :]
-    return feature_matrix(values, window_len, n_windows)
-
-
 def padded_length(seq_len: int, n_down: int) -> int:
     block = 1 << n_down
     return ((seq_len + block - 1) // block) * block
-
-
-def pipeline_layout(mode: str, subsample_len: int, window_len: int, n_down: int) -> tuple[int, int, int]:
-    """Check a pipeline's geometry and return its (window_len, n_windows,
-    net_len); both window fields are 0 in raw mode."""
-    if mode == "raw":
-        window_len, n_windows, seq_len = 0, 0, subsample_len
-    elif mode == "features":
-        if window_len < 2 or window_len > subsample_len:
-            raise UsageError(f"feature window length {window_len} incompatible with subsample {subsample_len}")
-        n_windows = seq_len = subsample_len // window_len
-    else:
-        raise UsageError(f"pipeline mode must be 'raw' or 'features', got {mode!r}")
-    net_len = padded_length(seq_len, n_down)
-    if net_len - seq_len >= seq_len:
-        raise UsageError(
-            f"sequence length {seq_len} too short to reflect-pad to {net_len}; "
-            f"reduce n_down or enlarge the input"
-        )
-    return window_len, n_windows, net_len
 
 
 def fit_inputs(
@@ -399,21 +403,15 @@ def fit_inputs(
 ) -> tuple[InputPipeline, np.ndarray]:
     """Fit the input pipeline on a training set and prepare that set with it.
 
-    Each subsample becomes channel rows once: the standardizer is fit on their
-    concatenation, then the same rows become the [N, C, net_len] inputs.
+    ``window_len`` is read in features mode only. Each subsample becomes
+    channel rows once: the standardizer is fit on their concatenation, then
+    the same rows become the [N, C, net_len] inputs.
     """
     if not train_subsamples:
         raise UsageError("cannot fit an input pipeline on an empty training set")
-    window_len, n_windows, net_len = pipeline_layout(mode, subsample_len, window_len, n_down)
-    rows = [_channel_rows(s.values, mode, subsample_len, window_len, n_windows) for s in train_subsamples]
-    pipeline = InputPipeline(
-        mode=mode,
-        subsample_len=subsample_len,
-        net_len=net_len,
-        standardizer=Standardizer.fit(np.concatenate(rows, axis=1)),
-        window_len=window_len,
-        n_windows=n_windows,
-    )
+    pipeline = InputPipeline(mode, subsample_len, window_len if mode == "features" else 0, n_down)
+    rows = [pipeline._rows(s.values) for s in train_subsamples]
+    pipeline.standardizer = Standardizer.fit(np.concatenate(rows, axis=1))
     return pipeline, np.stack([pipeline._standardize_and_pad(r) for r in rows])
 
 
@@ -433,14 +431,11 @@ class ModelState:
 
 
 def build_model(pipeline: InputPipeline, latent_dim: int, base_channels: int, n_down: int, seed: int) -> ModelState:
-    """Seeded construction of generator + discriminator behind a pipeline."""
-    arch = Arch(
-        input_channels=pipeline.channels,
-        input_len=pipeline.net_len,
-        latent_dim=latent_dim,
-        base_channels=base_channels,
-        n_down=n_down,
-    )
+    """Seeded construction of generator + discriminator behind a pipeline,
+    whose inputs are padded for ``n_down`` stride-2 stages."""
+    if n_down != pipeline.n_down:
+        raise UsageError(f"n_down {n_down} differs from the {pipeline.n_down} the input pipeline pads for")
+    arch = pipeline.arch(latent_dim, base_channels)
     rng = np.random.default_rng(seed)
     return ModelState(
         generator=Generator(arch, rng),

@@ -108,7 +108,7 @@ class Tensor:
             parents, backward_fn = node._parents, node._backward
             node._parents, node._backward = (), None
             for parent, g in zip(parents, backward_fn(node.grad)):
-                if g is None or not (parent.requires_grad or parent._backward is not None):
+                if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     parent.grad = np.array(g, dtype=np.float32)
@@ -180,7 +180,7 @@ def _lift(value) -> Tensor:
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """Wrap an op result, attaching graph links only when grad is live."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

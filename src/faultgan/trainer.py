@@ -23,8 +23,6 @@ import numpy as np
 from .errors import DataFormatError, NumericalError, UsageError
 from .features import Standardizer
 from .model import (
-    MODE_CHANNELS,
-    Arch,
     Generator,
     InputPipeline,
     LossWeights,
@@ -38,7 +36,6 @@ from .model import (
     generator_forward,
     generator_loss,
     latent_loss,
-    pipeline_layout,
     state_size,
 )
 from .ndtensor import Tensor, adam_step, init_adam
@@ -230,7 +227,7 @@ def serialize_state(state: ModelState) -> bytes:
         pipe.window_len,
         arch.latent_dim,
         arch.base_channels,
-        arch.n_down,
+        pipe.n_down,
     ))
     parts.append(pipe.standardizer.mean.astype("<f4").tobytes())
     parts.append(pipe.standardizer.std.astype("<f4").tobytes())
@@ -290,14 +287,11 @@ def _read_state(stream, origin: str) -> ModelState:
         raise DataFormatError(  # n_down < 32 keeps 2^n_down and the network length within u32
             f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}"
         )
-    mode = _MODES[mode_code]
     try:
-        layout_window, n_windows, net_len = pipeline_layout(mode, subsample_len, window_len, n_down)
-        arch = Arch(MODE_CHANNELS[mode], net_len, latent, base, n_down)
+        pipeline = InputPipeline(_MODES[mode_code], subsample_len, window_len, n_down)
+        arch = pipeline.arch(latent, base)
     except UsageError as err:
         raise DataFormatError(f"{origin}: corrupt checkpoint header: {err}") from None
-    if layout_window != window_len:  # raw mode stores window_len 0
-        raise DataFormatError(f"{origin}: feature window length {window_len} in a {mode}-mode checkpoint")
     mean, std = np.frombuffer(r.take(8 * arch.input_channels), dtype="<f4").astype(np.float32).reshape(2, -1)
     if not (np.isfinite(mean).all() and (np.isfinite(std) & (std > 0)).all()):
         raise DataFormatError(
@@ -318,14 +312,7 @@ def _read_state(stream, origin: str) -> ModelState:
         r.fill(arr)
     if r.left():
         raise DataFormatError(f"{origin}: {r.left()} trailing bytes after checkpoint payload")
-    pipeline = InputPipeline(
-        mode=mode,
-        subsample_len=subsample_len,
-        net_len=net_len,
-        standardizer=Standardizer(mean=mean, std=std),
-        window_len=window_len,
-        n_windows=n_windows,
-    )
+    pipeline.standardizer = Standardizer(mean=mean, std=std)
     return ModelState(generator=generator, discriminator=None, pipeline=pipeline)
 
 

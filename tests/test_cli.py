@@ -248,6 +248,41 @@ def test_sweep_parallel_matches_sequential(tmp_path, data_dir):
     assert seq_csv.read_bytes() == par_csv.read_bytes()
 
 
+def test_sweep_pool_is_no_larger_than_the_sweep(tmp_path, data_dir, monkeypatch, capsys):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr("faultgan.cli.multiprocessing.Pool", InProcessPool)
+    args = ["sweep", "--axis", "latent_dim", "--values", "16,32",
+            "--normal", str(data_dir / "normal_*.f32"), "--fault", str(data_dir / "fault_*.f32"),
+            "--out", str(tmp_path / "sweep.csv"), *FAST]
+    assert main(args + ["--parallel", "0"]) == 1
+    assert "--parallel" in capsys.readouterr().err
+    assert main(args + ["--parallel", "8"]) == 0
+    assert requested == [2]
+
+
+def test_train_negative_n_down_is_usage_error(tmp_path, data_dir, capsys):
+    path = tmp_path / "x.ckpt"
+    code = main(["train", "--data", str(data_dir / "normal_*.f32"),
+                 "--checkpoint", str(path), *FAST, "--n-down", "-1"])
+    assert code == 1
+    assert "n_down" in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exits_3(tmp_path, data_dir, capsys):
     code = main(["train", "--data", str(data_dir / "normal_*.f32"),

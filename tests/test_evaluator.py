@@ -186,7 +186,7 @@ def test_threshold_midpoint_of_adjacent_floats():
 
 
 def _tiny_state(length=32):
-    pipe = InputPipeline(mode="raw", subsample_len=length, net_len=length,
+    pipe = InputPipeline(mode="raw", subsample_len=length, window_len=0, n_down=2,
                          standardizer=identity_standardizer(1))
     return build_model(pipe, latent_dim=4, base_channels=4, n_down=2, seed=0)
 

@@ -30,9 +30,14 @@ LINEAR_IN_SCALE = ("max", "min", "mean", "std", "peak_to_peak", "avg_amplitude",
 
 
 def test_field_order_matches_output_contract():
-    fv = extract_features([1.0, 2.0])
-    assert tuple(f.name for f in fv.__dataclass_fields__.values()) == FEATURE_NAMES
-    assert fv.as_array().shape == (16,)
+    # this order is the channel layout of every features-mode checkpoint's
+    # standardizer and the column order of `faultgan features`
+    assert FEATURE_NAMES == (
+        "max", "min", "mean", "std", "peak_to_peak", "avg_amplitude", "rms", "skewness",
+        "variance", "waveform_indicator", "pulse_indicator", "twist_index", "peak_indicator",
+        "margin_indicator", "kurtosis_index", "sqrt_amplitude",
+    )
+    assert extract_features([1.0, 2.0]).as_array().shape == (16,)
 
 
 def test_hand_oracle_window():
@@ -180,9 +185,8 @@ def test_feature_matrix_non_finite_only_matters_inside_windows(case, data):
 
 def _features_pipeline(window_len, n_windows, standardizer=None) -> InputPipeline:
     return InputPipeline(
-        mode="features", subsample_len=window_len * n_windows, net_len=n_windows,
+        mode="features", subsample_len=window_len * n_windows, window_len=window_len, n_down=0,
         standardizer=standardizer or identity_standardizer(len(FEATURE_NAMES)),
-        window_len=window_len, n_windows=n_windows,
     )
 
 

@@ -213,7 +213,8 @@ def _tiny_state() -> ModelState:
     pipeline = InputPipeline(
         mode="raw",
         subsample_len=64,
-        net_len=64,
+        window_len=0,
+        n_down=3,
         standardizer=identity_standardizer(1),
     )
     return build_model(pipeline, latent_dim=8, base_channels=4, n_down=3, seed=0)
@@ -297,8 +298,23 @@ def test_pipeline_rejects_wrong_subsample_length():
 
 def test_pipeline_rejects_unknown_mode():
     with pytest.raises(UsageError):
-        InputPipeline(mode="spectral", subsample_len=8, net_len=8,
+        InputPipeline(mode="spectral", subsample_len=8, window_len=0, n_down=3,
                       standardizer=identity_standardizer(1))
+
+
+@pytest.mark.parametrize("window_len,n_down,match", [(3, 2, "window length 3"), (0, -1, "n_down")])
+def test_pipeline_rejects_raw_window_and_negative_depth(window_len, n_down, match):
+    with pytest.raises(UsageError, match=match):
+        InputPipeline("raw", 48, window_len, n_down)
+
+
+def test_build_model_refuses_another_n_down():
+    # inputs padded for 2 stages are 52 long, which 1 stage would accept, but
+    # the checkpoint header would then imply a 50-sample network
+    subs = [Subsample(values=np.arange(50, dtype=np.float32), source_offset=0)]
+    pipe = fit_pipeline(subs, "raw", 50, window_len=0, n_down=2)
+    with pytest.raises(UsageError, match="n_down 1"):
+        build_model(pipe, 4, 4, 1, seed=0)
 
 
 def test_pipeline_too_short_for_depth():
@@ -319,9 +335,8 @@ def test_state_size_counts_every_array(features, n_down, blocks, latent, base):
     channels = len(FEATURE_NAMES) if features else 1
     length = blocks << n_down
     pipeline = InputPipeline(
-        mode="features" if features else "raw", subsample_len=length * (2 if features else 1), net_len=length,
-        standardizer=identity_standardizer(channels), window_len=2 if features else 0,
-        n_windows=length if features else 0,
+        mode="features" if features else "raw", subsample_len=length * (2 if features else 1),
+        window_len=2 if features else 0, n_down=n_down, standardizer=identity_standardizer(channels),
     )
     state = build_model(pipeline, latent, base, n_down, seed=0)
     assert state_size(state.generator.arch) == sum(a.size for a in state.generator.arrays())

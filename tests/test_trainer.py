@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from faultgan import model, trainer
 from faultgan.errors import DataFormatError, NumericalError, UsageError
 from faultgan.evaluator import score_dataset
-from faultgan.model import LossWeights, build_model, fit_pipeline
+from faultgan.features import Standardizer
+from faultgan.model import InputPipeline, LossWeights, build_model, fit_pipeline
 from faultgan.signal_io import SynthSpec, Subsample, fault_label, subsample, synth
 from faultgan.trainer import (
     CHECKPOINT_MAGIC,
@@ -396,6 +397,38 @@ def test_header_n_windows_checked_in_features_mode(small_blobs):
     for bad_window in (1, 321):  # shorter than 2 samples, longer than the subsample
         with pytest.raises(DataFormatError, match="corrupt checkpoint header"):
             deserialize_state(with_field(small_blobs[1], "window_len", bad_window))
+
+
+@st.composite
+def _geometries(draw):
+    """A valid (mode, subsample_len, window_len, n_down): a sequence long
+    enough to reflect-pad up to the next multiple of 2^n_down."""
+    n_down = draw(st.integers(1, 4))
+    block = 1 << n_down
+    net_len = block * draw(st.integers(1, 3))
+    seq_len = draw(st.integers(max(net_len - block, net_len // 2) + 1, net_len))
+    if draw(st.booleans()):
+        return "raw", seq_len, 0, n_down
+    window_len = draw(st.integers(2, 5))
+    return "features", seq_len * window_len + draw(st.integers(0, window_len - 1)), window_len, n_down
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometry=_geometries(), latent=st.integers(1, 4), base=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_pipeline_geometry_survives_checkpoint(geometry, latent, base, seed):
+    mode, subsample_len, window_len, n_down = geometry
+    pipe = InputPipeline(mode, subsample_len, window_len, n_down)
+    seq_len = subsample_len if mode == "raw" else subsample_len // window_len
+    block = 1 << n_down
+    assert pipe.net_len % block == 0 and seq_len <= pipe.net_len < seq_len + block
+
+    rng = np.random.default_rng(seed)
+    pipe.standardizer = Standardizer(mean=rng.normal(size=pipe.channels).astype(np.float32),
+                                     std=rng.uniform(0.5, 2.0, pipe.channels).astype(np.float32))
+    blob = serialize_state(build_model(pipe, latent, base, n_down, seed))
+    loaded = deserialize_state(blob)
+    assert serialize_state(loaded) == blob
+    assert (loaded.pipeline.n_windows, loaded.pipeline.net_len) == (pipe.n_windows, pipe.net_len)
 
 
 @pytest.mark.parametrize("which", [0, 1])
