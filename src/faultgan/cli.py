@@ -24,6 +24,7 @@ from .model import LossWeights
 from .signal_io import (
     LABEL_FAULT,
     LABEL_NORMAL,
+    LABEL_UNLABELED,
     SynthSpec,
     load_csv,
     load_f32_binary,
@@ -39,6 +40,8 @@ from .trainer import TrainConfig, load_checkpoint, train
 # TrainConfig's fields that a flag or config key sets; the other two are
 # built from LossWeights' fields and from the --checkpoint path
 _TRAIN_FIELDS = [f.name for f in fields(TrainConfig) if f.name not in ("loss_weights", "checkpoint_path")]
+_WEIGHT_FIELDS = [f.name for f in fields(LossWeights)]
+_SYNTH = {f.name: f.default for f in fields(SynthSpec)}
 
 DEFAULTS = {
     # training: the defaults of TrainConfig and LossWeights
@@ -47,14 +50,14 @@ DEFAULTS = {
     "stride": 0,  # 0 means subsample_len (non-overlapping)
     "train_fraction": 0.8,
     "column": "0",
-    "sample_rate": 8192.0,
-    # synthesis
+    "sample_rate": _SYNTH["sample_rate_hz"],  # synth's rate; the loaders record it as metadata
+    # synthesis: the defaults of SynthSpec
     "count": 1,
     "samples": 120000,
-    "carriers": "55,130",
-    "noise_std": 0.1,
-    "fault_rate": 0.0,
-    "fault_amp": 1.0,
+    "carriers": ",".join(f"{f:g}" for f in _SYNTH["carrier_freqs_hz"]),
+    "noise_std": _SYNTH["noise_std"],
+    "fault_rate": _SYNTH["impulse_rate_hz"],
+    "fault_amp": _SYNTH["impulse_amplitude"],
     # evaluation
     "recon": 4,
 }
@@ -129,7 +132,7 @@ def _load_subsamples(files: list[Path], cfg: dict, label: str) -> list:
 
 
 def _train_config(cfg: dict, checkpoint: Path | None) -> TrainConfig:
-    weights = LossWeights(**{f.name: cfg[f.name] for f in fields(LossWeights)})
+    weights = LossWeights(**{name: cfg[name] for name in _WEIGHT_FIELDS})
     return TrainConfig(
         **{name: cfg[name] for name in _TRAIN_FIELDS}, loss_weights=weights, checkpoint_path=checkpoint
     )
@@ -180,7 +183,7 @@ def cmd_features(args) -> int:
     lines = [",".join(FEATURE_NAMES)]
     for start in range(0, len(windows), FEATURE_BLOCK_WINDOWS):
         block = np.stack([w.values for w in windows[start : start + FEATURE_BLOCK_WINDOWS]])
-        lines.extend(",".join(repr(v) for v in row) for row in window_features(block).T.tolist())
+        lines.extend(",".join(map(repr, row)) for row in window_features(block).T.tolist())
     write_atomic(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(windows)} feature rows to {args.out}")
     return 0
@@ -288,12 +291,7 @@ def _add_config_flags(p: argparse.ArgumentParser, keys: list[str]):
         )
 
 
-TRAIN_KEYS = [
-    "epochs", "batch_size", "lr", "beta1", "beta2", "latent_dim", "subsample_len",
-    "stride", "pipeline_mode", "w_fraud", "w_apparent", "w_latent", "seed",
-    "base_channels", "n_down", "train_fraction", "feature_window_len", "column",
-    "sample_rate",
-]
+TRAIN_KEYS = [*_TRAIN_FIELDS, *_WEIGHT_FIELDS, "stride", "train_fraction", "column", "sample_rate"]
 SYNTH_KEYS = ["count", "samples", "sample_rate", "carriers", "noise_std", "fault_rate", "fault_amp", "seed"]
 
 
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="dump per-window statistical features as CSV")
     p.add_argument("--input", required=True, help="input series (.csv or .f32)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--window-len", type=int, default=250, help="samples per feature window")
+    p.add_argument("--window-len", type=int, default=DEFAULTS["feature_window_len"], help="samples per feature window")
     p.add_argument("--window-stride", type=int, default=0, help="window stride (default: window length)")
     _add_config_flags(p, ["column", "sample_rate"])
     p.set_defaults(func=cmd_features)
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="glob of series files to score")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--label", default="unlabeled", help="label recorded for the scored files")
+    p.add_argument("--label", default=LABEL_UNLABELED, help="label recorded for the scored files")
     _add_config_flags(p, ["stride", "column", "sample_rate"])
     p.set_defaults(func=cmd_score)
 

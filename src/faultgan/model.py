@@ -7,9 +7,9 @@ ReLU after every stage except that the first stage skips batch norm; a final
 dense layer (one GEMM over the flattened bottom activation) maps to the latent
 vector. The decoder mirrors this with transposed convolutions, batch norm and
 ReLU, ending in a plain affine transposed convolution so reconstructions are
-unbounded (no squashing). The discriminator reuses the encoder pyramid with a
-sigmoid head; its flattened penultimate activation is the feature map used for
-feature matching.
+unbounded (no squashing). The discriminator is an encoder with a one-logit
+head read through a sigmoid; its flattened penultimate activation is the
+feature map used for feature matching.
 """
 
 from __future__ import annotations
@@ -243,13 +243,11 @@ class Generator(_Network):
         self.layers = [self.encoder1, self.decoder, self.encoder2]
 
 
-class Discriminator(_Network):
-    """Encoder pyramid with a sigmoid head; exposes its penultimate activation."""
+class Discriminator(Encoder):
+    """An encoder with a one-logit real/fake head; its penultimate activation feeds feature matching."""
 
     def __init__(self, arch: Arch, rng):
-        self.arch = arch
-        self.encoder = Encoder(replace(arch, latent_dim=1), rng)  # head maps to a single real/fake logit
-        self.layers = [self.encoder]
+        super().__init__(replace(arch, latent_dim=1), rng)
 
 
 def _check_input(x: Tensor, arch: Arch, who: str):
@@ -271,10 +269,10 @@ def generator_forward(g: Generator, x: Tensor, train: bool = False) -> tuple[Ten
 def discriminator_forward(d: Discriminator, x: Tensor, train: bool = False) -> tuple[Tensor, Tensor]:
     """Return (p, f): real/fake probability per sample and flattened features."""
     _check_input(x, d.arch, "discriminator")
-    h = d.encoder._body(x, train)
+    h = d._body(x, train)
     batch = x.shape[0]
     f = h.reshape((batch, h.size // batch))
-    logit = d.encoder.head(h)
+    logit = d.head(h)
     p = sigmoid(logit.reshape((batch,)))
     return p, f
 
@@ -380,7 +378,9 @@ class InputPipeline:
         """One subsample -> its unstandardized float64 [C, seq_len] rows: the
         signal itself as one channel, or its 16-channel feature sequence."""
         if values.size != self.subsample_len:
-            raise DimensionError(f"expected subsample of {self.subsample_len} samples, got {values.size}")
+            raise DimensionError(
+                f"subsample of {values.size} samples does not match configured length {self.subsample_len}"
+            )
         if self.mode == "raw":
             return np.asarray(values, dtype=np.float64)[None, :]
         return feature_matrix(values, self.window_len, self.n_windows)

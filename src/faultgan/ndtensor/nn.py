@@ -16,24 +16,30 @@ BN_MOMENTUM = 0.1  # weight of a train-mode batch's statistics in the running st
 BN_EPS = 1e-5  # added to the variance before its square root
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate [B, Ci, L] with kernel [Co, Ci, k] -> [B, Co, out_len]."""
+def _check_conv(op: str, x: Tensor, kernel: Tensor, stride: int, padding: int) -> None:
     if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise DimensionError(
-            f"conv1d expects 3-d input and kernel, got {x.shape} and {kernel.shape}"
-        )
+        raise DimensionError(f"{op} expects 3-d input and kernel, got {x.shape} and {kernel.shape}")
     if stride < 1:
         raise UsageError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise UsageError(f"padding must be >= 0, got {padding}")
-    _, c_in, length = x.shape
-    c_out, kc_in, k = kernel.shape
+
+
+def _check_channels(c_in: int, kc_in: int, bias: Tensor | None, c_out: int) -> None:
     if c_in != kc_in:
         raise DimensionError(f"input has {c_in} channels but kernel expects {kc_in}")
-    if length + 2 * padding < k:
-        raise DimensionError(f"input length {length} + 2*{padding} padding < kernel size {k}")
     if bias is not None and bias.shape != (c_out,):
         raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
+
+
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlate [B, Ci, L] with kernel [Co, Ci, k] -> [B, Co, out_len]."""
+    _check_conv("conv1d", x, kernel, stride, padding)
+    _, c_in, length = x.shape
+    c_out, kc_in, k = kernel.shape
+    _check_channels(c_in, kc_in, bias, c_out)
+    if length + 2 * padding < k:
+        raise DimensionError(f"input length {length} + 2*{padding} padding < kernel size {k}")
 
     x_data, k_data = x.data, kernel.data
     out, col = kernels.conv1d_forward(x_data, k_data, None if bias is None else bias.data, stride, padding)
@@ -46,23 +52,13 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padd
 
 def conv_transpose1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """Adjoint of conv1d: [B, Ci, L] with kernel [Ci, Co, k] -> [B, Co, (L-1)*stride - 2*padding + k]."""
-    if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise DimensionError(
-            f"conv_transpose1d expects 3-d input and kernel, got {x.shape} and {kernel.shape}"
-        )
-    if stride < 1:
-        raise UsageError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise UsageError(f"padding must be >= 0, got {padding}")
+    _check_conv("conv_transpose1d", x, kernel, stride, padding)
     _, c_in, length = x.shape
     kc_in, c_out, k = kernel.shape
-    if c_in != kc_in:
-        raise DimensionError(f"input has {c_in} channels but kernel expects {kc_in}")
+    _check_channels(c_in, kc_in, bias, c_out)
     out_len = (length - 1) * stride - 2 * padding + k
     if out_len <= 0:
         raise DimensionError(f"computed output length {out_len} is not positive")
-    if bias is not None and bias.shape != (c_out,):
-        raise DimensionError(f"bias shape {bias.shape} != ({c_out},)")
 
     x_data, k_data = x.data, kernel.data
     out = kernels.conv_transpose1d_forward(

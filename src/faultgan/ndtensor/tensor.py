@@ -97,10 +97,12 @@ class Tensor:
 
         Only valid on scalars. Repeated calls on fresh graphs accumulate into
         existing grad buffers. Nodes are visited newest first, and each one is
-        unlinked from the graph as soon as its gradients are passed on.
+        unlinked from the graph as soon as its gradients are passed on, so a
+        second pass that reaches a walked node raises instead of stopping there.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar loss, got shape {self.shape}")
+        _check_unwalked(self)
         self.grad = np.ones_like(self.data)
         heap = [(-self._seq, self)] if self._backward is not None else []
         while heap:
@@ -110,6 +112,7 @@ class Tensor:
             for parent, g in zip(parents, backward_fn(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
+                _check_unwalked(parent)
                 if parent.grad is None:
                     parent.grad = np.array(g, dtype=np.float32)
                     if parent._backward is not None:
@@ -175,6 +178,12 @@ def _lift(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(np.asarray(value, dtype=np.float32))
+
+
+def _check_unwalked(t: Tensor) -> None:
+    """Refuse a node that an earlier backward() unlinked: without its closure it would pass for a leaf."""
+    if t._backward is None and hasattr(t, "_seq"):
+        raise UsageError("tensor already walked by backward(); build it again, or detach() the tensor")
 
 
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

@@ -1,11 +1,11 @@
 """Alternating adversarial training on normal-only subsamples, plus the
 binary checkpoint format.
 
-Each batch runs one generator step (weighted fraud + apparent + latent loss,
-Adam on generator parameters only) followed by one discriminator step
-(feature-matching loss on the real batch versus the detached fake, Adam on
-discriminator parameters only). Both steps' losses are computed and checked
-for finiteness before either network is updated.
+Each batch runs a generator backward (weighted fraud + apparent + latent
+loss) and then a discriminator backward (feature-matching loss on the real
+batch versus the detached fake); each clears only its own network's grads
+first. Both losses are computed and checked for finiteness before one Adam
+update moves the parameters of both networks.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
     bad = sorted({s.label for s in train_set if not is_normal(s.label)})
     if bad:
         raise UsageError(f"training is normal-only; refusing labels {bad}")
-    for s in train_set:
-        if len(s) != config.subsample_len:
-            raise UsageError(
-                f"subsample of {len(s)} samples does not match configured length {config.subsample_len}"
-            )
     if len(train_set) < config.batch_size:
         raise UsageError(
             f"training set of {len(train_set)} is smaller than batch_size {config.batch_size}; "
@@ -121,8 +116,8 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
     state = build_model(pipeline, config.latent_dim, config.base_channels, config.n_down, config.seed)
     gen_params = state.generator.params()
     disc_params = state.discriminator.params()
-    gen_opt = init_adam(gen_params, config.lr, config.beta1, config.beta2)
-    disc_opt = init_adam(disc_params, config.lr, config.beta1, config.beta2)
+    params = gen_params + disc_params
+    opt = init_adam(params, config.lr, config.beta1, config.beta2)
 
     n_batches = len(train_set) // config.batch_size  # last partial batch dropped
     order_rng = np.random.default_rng(config.seed)
@@ -161,8 +156,7 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
             _check_finite(epoch, b, {"l_d": l_d_val})
             l_d.backward()
 
-            adam_step(gen_params, [p.grad for p in gen_params], gen_opt)
-            adam_step(disc_params, [p.grad for p in disc_params], disc_opt)
+            adam_step(params, [p.grad for p in params], opt)
 
             values = tuple(gen_losses.values()) + (l_d_val,)
             sums += values
@@ -176,7 +170,7 @@ def train(config: TrainConfig, train_set) -> tuple[ModelState, TrainReport]:
 
     # the optimizer moments (two arrays per parameter) are dead; freeing them
     # first keeps the serialized checkpoint out of the training peak memory
-    del gen_opt, disc_opt
+    del opt
     blob = serialize_state(state)
     if config.checkpoint_path is not None:
         path = Path(config.checkpoint_path)

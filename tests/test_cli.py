@@ -1,6 +1,8 @@
 """CLI surface: flags, config precedence, exit codes, and the full
 synth -> train -> score/eval -> sweep flow."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from helpers import with_field
@@ -8,6 +10,9 @@ from helpers import with_field
 from faultgan.cli import DEFAULTS, FEATURE_BLOCK_WINDOWS, build_parser, main, parse_config_file
 from faultgan.errors import ConfigError
 from faultgan.features import FEATURE_NAMES, extract_features
+from faultgan.model import LossWeights
+from faultgan.signal_io import SynthSpec, synth, write_f32_binary
+from faultgan.trainer import TrainConfig
 
 FAST = [
     "--epochs", "2", "--batch-size", "4", "--subsample-len", "256",
@@ -363,6 +368,34 @@ def test_every_default_documented():
     assert DEFAULTS["beta1"] == 0.5 and DEFAULTS["beta2"] == 0.999
     assert DEFAULTS["latent_dim"] == 64
     assert DEFAULTS["subsample_len"] == 12000
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_every_training_field_is_a_flag(command):
+    required = {
+        "train": ["--data", "d", "--checkpoint", "c"],
+        "sweep": ["--axis", "latent_dim", "--values", "4", "--normal", "n", "--fault", "f", "--out", "o"],
+    }[command]
+    names = [f.name for f in fields(TrainConfig) if f.name not in ("loss_weights", "checkpoint_path")]
+    names += [f.name for f in fields(LossWeights)]
+    for name in names:
+        value = DEFAULTS[name]
+        args = build_parser().parse_args([command, *required, f"--{name.replace('_', '-')}", str(value)])
+        assert getattr(args, name) == value
+
+
+def test_synthesis_defaults_are_synth_spec_defaults(tmp_path):
+    spec = SynthSpec(duration_samples=DEFAULTS["samples"])
+    assert DEFAULTS["sample_rate"] == spec.sample_rate_hz
+    assert DEFAULTS["carriers"] == "55,130"
+    assert tuple(float(c) for c in DEFAULTS["carriers"].split(",")) == spec.carrier_freqs_hz
+    assert DEFAULTS["noise_std"] == spec.noise_std
+    assert DEFAULTS["fault_rate"] == spec.impulse_rate_hz
+    assert DEFAULTS["fault_amp"] == spec.impulse_amplitude
+    # a synth run with no flags writes what the library's defaults make
+    assert main(["synth", "--out", str(tmp_path / "cli"), "--samples", "2048"]) == 0
+    write_f32_binary(synth(SynthSpec(duration_samples=2048)), tmp_path / "lib.f32")
+    assert (tmp_path / "cli" / "normal_0000.f32").read_bytes() == (tmp_path / "lib.f32").read_bytes()
 
 
 def test_train_into_missing_directory_fails_before_training(tmp_path, data_dir, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import check_grads, naive_conv1d, naive_conv_transpose1d
 
-from faultgan.errors import DimensionError
+from faultgan.errors import DimensionError, UsageError
 from faultgan.ndtensor import (
     BCE_CLAMP,
     BatchNormStats,
@@ -73,6 +73,31 @@ def test_conv1d_channel_mismatch_raises():
 def test_conv1d_kernel_larger_than_input_raises():
     with pytest.raises(DimensionError):
         conv1d(Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros((1, 1, 5))), None)
+
+
+# (input shape, conv1d kernel shape, bias shape or None, stride, padding),
+# error type, message; conv_transpose1d takes the kernel with its first two
+# axes swapped, so one table serves both ops
+_BAD_CONV_ARGS = {
+    "ndim": ((2, 8), (3, 2, 3), None, 1, 0, DimensionError,
+             "{op} expects 3-d input and kernel, got (2, 8) and {kernel}"),
+    "stride": ((1, 2, 8), (3, 2, 3), None, 0, 0, UsageError, "stride must be >= 1, got 0"),
+    "padding": ((1, 2, 8), (3, 2, 3), None, 1, -1, UsageError, "padding must be >= 0, got -1"),
+    "channels": ((1, 4, 8), (3, 2, 3), None, 1, 0, DimensionError, "input has 4 channels but kernel expects 2"),
+    "bias": ((1, 2, 8), (3, 2, 3), (2,), 1, 0, DimensionError, "bias shape (2,) != (3,)"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_BAD_CONV_ARGS))
+@pytest.mark.parametrize("op", [conv1d, conv_transpose1d], ids=["conv1d", "conv_transpose1d"])
+def test_conv_argument_checks_name_the_bad_argument(op, check):
+    x_shape, k_shape, b_shape, stride, padding, error, message = _BAD_CONV_ARGS[check]
+    if op is conv_transpose1d:
+        k_shape = (k_shape[1], k_shape[0], k_shape[2])
+    bias = None if b_shape is None else Tensor(np.zeros(b_shape))
+    with pytest.raises(error) as exc:
+        op(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)), bias, stride, padding)
+    assert str(exc.value) == message.format(op=op.__name__, kernel=k_shape)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

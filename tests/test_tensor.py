@@ -82,6 +82,27 @@ def test_backward_releases_each_node_before_its_parents():
     np.testing.assert_allclose(x.grad, [2.0])
 
 
+def test_second_backward_over_a_walked_graph_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = (x * x).sum()
+    y.backward()
+    with pytest.raises(UsageError, match="already walked by backward"):
+        y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_new_graph_through_a_walked_node_raises():
+    # the first pass unlinks h from x; a second graph built on h must not
+    # treat h as a leaf and stop its gradient there
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    h = x * 3.0
+    h.sum().backward()
+    with pytest.raises(UsageError, match="detach"):
+        (h * 2.0).sum().backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+    (h.detach() * 2.0).sum().backward()  # a detached copy is a fresh leaf
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():

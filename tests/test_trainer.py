@@ -68,6 +68,15 @@ def test_rejects_wrong_subsample_length():
         train(_tiny_config(), subs)
 
 
+def test_wrong_subsample_length_fails_before_any_parameter_exists(monkeypatch):
+    builds = count_calls(monkeypatch, trainer, "build_model")
+    subs = _normal_subs(10, length=64)
+    subs.insert(3, Subsample(values=np.zeros(32, dtype=np.float32), source_offset=0, label="normal"))
+    with pytest.raises(UsageError, match="subsample of 32 samples does not match configured length 64"):
+        train(_tiny_config(), subs)
+    assert builds == []
+
+
 def test_epoch_record_per_epoch_and_losses_finite():
     config = _tiny_config(epochs=20)
     state, report = train(config, _normal_subs(16))
@@ -332,7 +341,7 @@ def test_optimizer_state_is_freed_before_the_checkpoint_is_serialized(monkeypatc
     monkeypatch.setattr(trainer, "init_adam", tracked_init_adam)
     monkeypatch.setattr(trainer, "serialize_state", checked_serialize)
     train(_tiny_config(), _normal_subs(16))
-    assert at_serialize == [[None, None]]  # both optimizers' moment buffers are gone
+    assert at_serialize == [[None]]  # the one optimizer over both networks, its moment buffers gone
 
 
 def test_missing_checkpoint_directory_fails_before_training(tmp_path, monkeypatch):
