@@ -143,16 +143,12 @@ def _train_config(cfg: dict, checkpoint: Path | None) -> TrainConfig:
 
 def cmd_synth(args) -> int:
     cfg = resolve_config(args)
-    out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise UsageError(f"cannot write files under {out_dir}: {err.strerror or err}") from err
-    carriers = tuple(float(c) for c in str(cfg["carriers"]).split(",") if c.strip())
-    kind = LABEL_FAULT if cfg["fault_rate"] > 0 else LABEL_NORMAL
-    written = []
-    for i in range(cfg["count"]):
-        spec = SynthSpec(
+        carriers = tuple(float(c) for c in str(cfg["carriers"]).split(",") if c.strip())
+    except ValueError as err:
+        raise UsageError(f"cannot parse --carriers {cfg['carriers']!r}: {err}") from None
+    specs = [  # every setting is checked here, before anything is written
+        SynthSpec(
             duration_samples=cfg["samples"],
             sample_rate_hz=cfg["sample_rate"],
             carrier_freqs_hz=carriers,
@@ -161,6 +157,16 @@ def cmd_synth(args) -> int:
             impulse_amplitude=cfg["fault_amp"],
             seed=cfg["seed"] + i,
         )
+        for i in range(cfg["count"])
+    ]
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"cannot write files under {out_dir}: {err.strerror or err}") from err
+    kind = LABEL_FAULT if cfg["fault_rate"] > 0 else LABEL_NORMAL
+    written = []
+    for i, spec in enumerate(specs):
         path = out_dir / f"{kind}_{i:04d}.f32"
         write_f32_binary(synth(spec), path)
         written.append(path)
@@ -354,15 +360,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, DataFormatError, NumericalError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    except DataFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NumericalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return err.exit_code
 
 
 if __name__ == "__main__":

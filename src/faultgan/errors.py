@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-CLI exit codes map onto this hierarchy: UsageError (and subclasses) exit 1,
-DataFormatError exits 2, NumericalError exits 3.
+CLI exit codes map onto this hierarchy through each class's ``exit_code``:
+UsageError (and subclasses) 1, DataFormatError 2, NumericalError 3.
 """
 
 
@@ -11,6 +11,8 @@ class FaultganError(Exception):
 
 class UsageError(FaultganError):
     """The caller violated an API or CLI contract."""
+
+    exit_code = 1
 
 
 class ConfigError(UsageError):
@@ -24,6 +26,10 @@ class DimensionError(UsageError):
 class DataFormatError(FaultganError):
     """An input file is empty, truncated, or otherwise unparseable."""
 
+    exit_code = 2
+
 
 class NumericalError(FaultganError):
     """A computation produced NaN or Inf and was aborted."""
+
+    exit_code = 3

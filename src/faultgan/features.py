@@ -38,9 +38,6 @@ class FeatureVector:
     kurtosis_index: float
     sqrt_amplitude: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, f.name) for f in fields(self)], dtype=np.float64)
-
 
 FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 

@@ -48,9 +48,12 @@ class LossWeights:
     w_latent: float = 1.0
 
     def __post_init__(self):
-        if min(self.w_fraud, self.w_apparent, self.w_latent) < 0:
+        weights = (self.w_fraud, self.w_apparent, self.w_latent)
+        if not np.isfinite(weights).all():
+            raise UsageError(f"loss weights must be finite, got {weights}")
+        if min(weights) < 0:
             raise UsageError("loss weights must be non-negative")
-        if max(self.w_fraud, self.w_apparent, self.w_latent) == 0:
+        if max(weights) == 0:
             raise UsageError("at least one loss weight must be positive")
 
 
@@ -102,10 +105,10 @@ class DenseT(ConvT):
 class BatchNorm:
     """Batch norm with ``batchnorm1d``'s fixed ``BN_MOMENTUM`` (0.1) and ``BN_EPS`` (1e-5)."""
 
-    def __init__(self, gamma: Tensor, beta: Tensor):
+    def __init__(self, gamma: Tensor, beta: Tensor, stats: BatchNormStats):
         self.gamma = gamma
         self.beta = beta
-        self.stats = BatchNormStats.fresh(gamma.size)
+        self.stats = stats
 
     def __call__(self, x: Tensor, train: bool, slope: float | None = None) -> Tensor:
         return batchnorm1d(x, self.gamma, self.beta, self.stats, train, slope=slope)
@@ -117,25 +120,30 @@ class BatchNorm:
         return [self.gamma.data, self.beta.data, self.stats.mean, self.stats.var]
 
 
-def _init_normal(rng, mean: float, shape) -> np.ndarray:
-    """N(mean, INIT_STD) float32 initial values; zeros when rng is None, for
-    a checkpoint load that overwrites them all."""
-    if rng is None:
-        return np.zeros(shape, dtype=np.float32)
-    return rng.normal(mean, INIT_STD, shape).astype(np.float32)
+def seeded(rng):
+    """An init for the network constructors: ``init(shape, mean)`` draws
+    N(mean, INIT_STD) float32 values from ``rng``; ``init(shape, fill=f)``
+    returns a constant array and draws nothing."""
+
+    def init(shape, mean: float | None = None, fill: float = 0.0) -> np.ndarray:
+        if mean is None:
+            return np.full(shape, fill, np.float32)
+        return rng.normal(mean, INIT_STD, shape).astype(np.float32)
+
+    return init
 
 
-def _init_conv(rng, shape, cls: type[Conv], with_bias: bool) -> Conv:
-    kernel = Tensor(_init_normal(rng, 0.0, shape), requires_grad=True)
+def _init_conv(init, shape, cls: type[Conv], with_bias: bool) -> Conv:
+    kernel = Tensor(init(shape, 0.0), requires_grad=True)
     n_bias = shape[1] if issubclass(cls, ConvT) else shape[0]
-    bias = Tensor(np.zeros(n_bias, dtype=np.float32), requires_grad=True) if with_bias else None
+    bias = Tensor(init((n_bias,)), requires_grad=True) if with_bias else None
     return cls(kernel, bias)
 
 
-def _init_bn(rng, channels: int) -> BatchNorm:
-    gamma = Tensor(_init_normal(rng, 1.0, channels), requires_grad=True)
-    beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
-    return BatchNorm(gamma, beta)
+def _init_bn(init, channels: int) -> BatchNorm:
+    gamma = Tensor(init((channels,), 1.0), requires_grad=True)
+    beta = Tensor(init((channels,)), requires_grad=True)
+    return BatchNorm(gamma, beta, BatchNormStats(init((channels,)), init((channels,), fill=1.0)))
 
 
 @dataclass
@@ -171,8 +179,10 @@ class Arch:
 
 
 class _Network:
-    """A network part built from ``self.layers``, whose order fixes both the
-    optimizer's parameter list and the checkpoint's array layout."""
+    """A network part built from ``self.layers``, whose order fixes the
+    optimizer's parameter list and the checkpoint's array layout. The
+    constructor asks ``init`` for every array in that same order, which lets
+    the checkpoint reader be the init of a loaded generator."""
 
     layers: list
 
@@ -186,16 +196,16 @@ class _Network:
 class Encoder(_Network):
     """Downscaling pyramid ending in a latent projection."""
 
-    def __init__(self, arch: Arch, rng):
+    def __init__(self, arch: Arch, init):
         self.arch = arch
         self.stages = []
         in_ch = arch.input_channels
         for i, out_ch in enumerate(arch.stage_channels()):
-            conv = _init_conv(rng, (out_ch, in_ch, KERNEL_SIZE), Conv, with_bias=i == 0)
-            bn = None if i == 0 else _init_bn(rng, out_ch)
+            conv = _init_conv(init, (out_ch, in_ch, KERNEL_SIZE), Conv, with_bias=i == 0)
+            bn = None if i == 0 else _init_bn(init, out_ch)
             self.stages.append((conv, bn))
             in_ch = out_ch
-        self.head = _init_conv(rng, (arch.latent_dim, in_ch, arch.bottom_len), Dense, with_bias=True)
+        self.head = _init_conv(init, (arch.latent_dim, in_ch, arch.bottom_len), Dense, with_bias=True)
         self.layers = [layer for stage in self.stages for layer in stage if layer is not None] + [self.head]
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
@@ -212,17 +222,17 @@ class Encoder(_Network):
 class Decoder(_Network):
     """Mirror of the encoder: latent projection then upscaling pyramid."""
 
-    def __init__(self, arch: Arch, rng):
+    def __init__(self, arch: Arch, init):
         self.arch = arch
-        self.head = _init_conv(rng, (arch.latent_dim, arch.top_channels, arch.bottom_len), DenseT, with_bias=False)
-        self.head_bn = _init_bn(rng, arch.top_channels)
+        self.head = _init_conv(init, (arch.latent_dim, arch.top_channels, arch.bottom_len), DenseT, with_bias=False)
+        self.head_bn = _init_bn(init, arch.top_channels)
         self.stages = []
         channels = arch.stage_channels()
         for i in range(arch.n_down - 1, 0, -1):
-            conv = _init_conv(rng, (channels[i], channels[i - 1], KERNEL_SIZE), ConvT, with_bias=False)
-            bn = _init_bn(rng, channels[i - 1])
+            conv = _init_conv(init, (channels[i], channels[i - 1], KERNEL_SIZE), ConvT, with_bias=False)
+            bn = _init_bn(init, channels[i - 1])
             self.stages.append((conv, bn))
-        self.final = _init_conv(rng, (arch.base_channels, arch.input_channels, KERNEL_SIZE), ConvT, with_bias=True)
+        self.final = _init_conv(init, (arch.base_channels, arch.input_channels, KERNEL_SIZE), ConvT, with_bias=True)
         self.layers = [self.head, self.head_bn, *(layer for stage in self.stages for layer in stage), self.final]
 
     def forward(self, z: Tensor, train: bool) -> Tensor:
@@ -235,19 +245,19 @@ class Decoder(_Network):
 class Generator(_Network):
     """Encoder-decoder-encoder; both encoders share architecture, not weights."""
 
-    def __init__(self, arch: Arch, rng):
+    def __init__(self, arch: Arch, init):
         self.arch = arch
-        self.encoder1 = Encoder(arch, rng)
-        self.decoder = Decoder(arch, rng)
-        self.encoder2 = Encoder(arch, rng)
+        self.encoder1 = Encoder(arch, init)
+        self.decoder = Decoder(arch, init)
+        self.encoder2 = Encoder(arch, init)
         self.layers = [self.encoder1, self.decoder, self.encoder2]
 
 
 class Discriminator(Encoder):
     """An encoder with a one-logit real/fake head; its penultimate activation feeds feature matching."""
 
-    def __init__(self, arch: Arch, rng):
-        super().__init__(replace(arch, latent_dim=1), rng)
+    def __init__(self, arch: Arch, init):
+        super().__init__(replace(arch, latent_dim=1), init)
 
 
 def _check_input(x: Tensor, arch: Arch, who: str):
@@ -436,23 +446,9 @@ def build_model(pipeline: InputPipeline, latent_dim: int, base_channels: int, n_
     if n_down != pipeline.n_down:
         raise UsageError(f"n_down {n_down} differs from the {pipeline.n_down} the input pipeline pads for")
     arch = pipeline.arch(latent_dim, base_channels)
-    rng = np.random.default_rng(seed)
+    init = seeded(np.random.default_rng(seed))
     return ModelState(
-        generator=Generator(arch, rng),
-        discriminator=Discriminator(arch, rng),
+        generator=Generator(arch, init),
+        discriminator=Discriminator(arch, init),
         pipeline=pipeline,
     )
-
-
-def state_size(arch: Arch) -> int:
-    """Float32 values in the arrays of a Generator of this architecture,
-    counted without allocating any of them."""
-    ch = arch.stage_channels()
-    first = ch[0] * arch.input_channels * KERNEL_SIZE
-    pyramid = sum(c_in * c_out * KERNEL_SIZE for c_in, c_out in zip(ch, ch[1:]))
-    head = arch.top_channels * arch.bottom_len
-
-    # first conv and its bias, batch-normed stages (gamma, beta, mean, var), head and its bias
-    encoder = first + ch[0] + pyramid + 4 * sum(ch[1:]) + arch.latent_dim * head + arch.latent_dim
-    decoder = arch.latent_dim * head + 4 * sum(ch) + pyramid + first + arch.input_channels
-    return 2 * encoder + decoder

@@ -52,8 +52,8 @@ class TimeSeries:
             raise UsageError("a TimeSeries needs a non-empty 1-d value array")
         if not np.isfinite(self.values).all():
             raise DataFormatError("time series contains non-finite values")
-        if self.sample_rate_hz <= 0:
-            raise UsageError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise UsageError(f"sample rate must be positive and finite, got {self.sample_rate_hz}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -83,6 +83,17 @@ class SynthSpec:
     impulse_rate_hz: float = 0.0
     impulse_amplitude: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.duration_samples < 1:
+            raise UsageError(f"duration_samples must be >= 1, got {self.duration_samples}")
+        for name in ("sample_rate_hz", "noise_std", "impulse_rate_hz", "impulse_amplitude", "carrier_freqs_hz"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.sample_rate_hz <= 0:
+            raise UsageError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if self.noise_std < 0 or self.impulse_rate_hz < 0:
+            raise UsageError("noise_std and impulse_rate_hz must be non-negative")
 
 
 def load_csv(path, column=0, sample_rate_hz: float = 1.0, label: str = LABEL_UNLABELED) -> TimeSeries:
@@ -237,13 +248,6 @@ def synth(spec: SynthSpec) -> TimeSeries:
     ``impulse_rate_hz`` with a decay constant of a quarter period; it is an
     engineering test oracle, not a physical bearing model.
     """
-    if spec.duration_samples < 1:
-        raise UsageError(f"duration_samples must be >= 1, got {spec.duration_samples}")
-    if spec.sample_rate_hz <= 0:
-        raise UsageError(f"sample_rate_hz must be positive, got {spec.sample_rate_hz}")
-    if spec.noise_std < 0 or spec.impulse_rate_hz < 0:
-        raise UsageError("noise_std and impulse_rate_hz must be non-negative")
-
     rng = np.random.default_rng(spec.seed)
     n = spec.duration_samples
     t = np.arange(n, dtype=np.float64) / spec.sample_rate_hz

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 import sys
 import time
@@ -36,7 +37,6 @@ from .model import (
     generator_forward,
     generator_loss,
     latent_loss,
-    state_size,
 )
 from .ndtensor import Tensor, adam_step, init_adam
 from .signal_io import is_normal, write_atomic
@@ -68,8 +68,8 @@ class TrainConfig:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise UsageError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise UsageError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 @dataclass
@@ -253,13 +253,22 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def fill(self, arr: np.ndarray) -> None:
-        """Read little-endian float32 values straight into ``arr``, with no
-        intermediate copy of the payload."""
+    def array(self, shape, mean=None, fill=0.0) -> np.ndarray:
+        """The next stored array, as a loaded network's init (``mean`` and
+        ``fill`` unused): its recorded shape must be ``shape`` and its bytes
+        must be left in the file before it is allocated and read into."""
+        (ndim,) = self.unpack("<B")
+        dims = self.unpack(f"<{ndim}I")
+        if dims != shape:
+            raise DataFormatError(f"{self.origin}: tensor shape {dims} does not match architecture {shape}")
+        if 4 * math.prod(dims) > self.left():
+            raise DataFormatError(f"{self.origin}: truncated checkpoint")
+        arr = np.empty(dims, dtype=np.float32)
         if self.stream.readinto(memoryview(arr).cast("B")) != arr.nbytes:
             raise DataFormatError(f"{self.origin}: truncated checkpoint")
         if sys.byteorder != "little":
             arr.byteswap(inplace=True)
+        return arr
 
 
 def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
@@ -275,8 +284,8 @@ def _read_state(stream, origin: str) -> ModelState:
         raise DataFormatError(f"{origin}: unsupported version {version} (expected {CHECKPOINT_VERSION})")
     mode_code, subsample_len, window_len, latent, base, n_down = r.unpack("<BIIIII")
 
-    # every header field is checked, and the payload it implies measured
-    # against the file, before any generator array is allocated
+    # every header field is checked before any generator array is read, and
+    # each array's shape and byte count before that array is allocated
     if mode_code >= len(_MODES) or not 1 <= n_down < 32:
         raise DataFormatError(  # n_down < 32 keeps 2^n_down and the network length within u32
             f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}"
@@ -291,19 +300,7 @@ def _read_state(stream, origin: str) -> ModelState:
         raise DataFormatError(
             f"{origin}: corrupt standardizer: every mean must be finite and every std finite and positive"
         )
-    need, have = 4 * state_size(arch), r.left()
-    if need > have:
-        raise DataFormatError(
-            f"{origin}: truncated checkpoint: header implies at least {need} payload bytes, file has {have}"
-        )
-
-    generator = Generator(arch, None)  # zero-filled; every array is read below
-    for arr in generator.arrays():
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        if shape != arr.shape:
-            raise DataFormatError(f"{origin}: tensor shape {shape} does not match architecture {arr.shape}")
-        r.fill(arr)
+    generator = Generator(arch, r.array)
     if r.left():
         raise DataFormatError(f"{origin}: {r.left()} trailing bytes after checkpoint payload")
     pipeline.standardizer = Standardizer(mean=mean, std=std)

@@ -1,7 +1,7 @@
 """CLI surface: flags, config precedence, exit codes, and the full
 synth -> train -> score/eval -> sweep flow."""
 
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -61,6 +61,17 @@ def test_synth_zero_samples_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--carriers", "55,abc"), ("--carriers", "55,nan"), ("--fault-rate", "inf"), ("--noise-std", "nan"),
+    ("--sample-rate", "inf"), ("--fault-amp", "inf"),
+])
+def test_synth_non_finite_setting_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--samples", "64", flag, value]) == 1
+    assert value.split(",")[-1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_into_existing_file_is_usage_error(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("not a directory\n")
@@ -101,7 +112,7 @@ def test_features_overlapping_stride_rows_match_their_windows(tmp_path):
     assert len(rows) == (1100 - 8) // 3 + 1
     for i, row in enumerate(rows):
         window = series[3 * i : 3 * i + 8]
-        np.testing.assert_allclose(row, extract_features(window).as_array(), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(row, np.array(astuple(extract_features(window))), rtol=1e-12, atol=1e-15)
 
     # stride 1 gives more windows than one block holds; rows stay in window order across blocks
     assert main(["features", "--input", str(path), "--window-len", "8", "--window-stride", "1",
@@ -109,7 +120,7 @@ def test_features_overlapping_stride_rows_match_their_windows(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 1100 - 8 + 1 > FEATURE_BLOCK_WINDOWS
     for i in (0, FEATURE_BLOCK_WINDOWS - 1, FEATURE_BLOCK_WINDOWS, len(rows) - 1):
-        expected = extract_features(series[i : i + 8]).as_array()
+        expected = np.array(astuple(extract_features(series[i : i + 8])))
         np.testing.assert_allclose([float(v) for v in rows[i].split(",")], expected, rtol=1e-12, atol=1e-15)
 
 
@@ -286,6 +297,17 @@ def test_train_negative_n_down_is_usage_error(tmp_path, data_dir, capsys):
     assert code == 1
     assert "n_down" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--w-fraud", "nan"), ("--w-apparent", "inf"), ("--sample-rate", "nan"),
+])
+def test_train_non_finite_setting_is_usage_error(tmp_path, data_dir, capsys, flag, value):
+    path = tmp_path / "x.ckpt"
+    code = main(["train", "--data", str(data_dir / "normal_*.f32"), "--checkpoint", str(path), *FAST, flag, value])
+    assert code == 1
+    assert value in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint, no training report
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,7 @@
 """Feature extractor: hand oracles, naive-reference agreement, scale laws."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import identity_standardizer, naive_features
@@ -37,7 +39,7 @@ def test_field_order_matches_output_contract():
         "variance", "waveform_indicator", "pulse_indicator", "twist_index", "peak_indicator",
         "margin_indicator", "kurtosis_index", "sqrt_amplitude",
     )
-    assert extract_features([1.0, 2.0]).as_array().shape == (16,)
+    assert np.array(dataclasses.astuple(extract_features([1.0, 2.0]))).shape == (16,)
 
 
 def test_hand_oracle_window():
@@ -55,7 +57,7 @@ def test_constant_window_conventions():
     assert fv.std == 0.0 and fv.variance == 0.0 and fv.peak_to_peak == 0.0
     assert fv.avg_amplitude == 2.0 and fv.rms == pytest.approx(2.0)
     assert fv.skewness == 0.0 and fv.kurtosis_index == 0.0  # zero-sigma convention
-    assert np.isfinite(fv.as_array()).all()
+    assert np.isfinite(np.array(dataclasses.astuple(fv))).all()
 
 
 def test_alternating_window_symmetry():
@@ -193,7 +195,7 @@ def _features_pipeline(window_len, n_windows, standardizer=None) -> InputPipelin
 def test_feature_sequence_single_window_equals_extract():
     rng = np.random.default_rng(2)
     sub = Subsample(values=rng.normal(size=50).astype(np.float32), source_offset=0)
-    expected = extract_features(sub.values).as_array()
+    expected = np.array(dataclasses.astuple(extract_features(sub.values)))
     np.testing.assert_array_equal(feature_matrix(sub.values, window_len=50, n_windows=1)[:, 0], expected)
     seq = _features_pipeline(50, 1).prepare(sub.values)
     assert seq.shape == (16, 1) and seq.dtype == np.float32

@@ -2,6 +2,7 @@
 NaN abort, and the checkpoint wire format."""
 
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -396,6 +397,23 @@ def small_blobs():
 def test_corrupt_header_field_is_format_error(small_blobs, name, value):
     with pytest.raises(DataFormatError):
         deserialize_state(with_field(small_blobs[0], name, value))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("latent_dim", 2**30), ("base_channels", 2**30), ("subsample_len", 2**31), ("n_down", 31),
+])
+def test_corrupt_header_is_refused_before_its_arrays_are_allocated(small_blobs, name, value):
+    # each header implies gigabytes of arrays; the reader must refuse it
+    # having allocated no more than a small multiple of the file itself
+    blob = with_field(small_blobs[0], name, value)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError):
+            deserialize_state(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(blob)
 
 
 def test_header_n_windows_checked_in_features_mode(small_blobs):
