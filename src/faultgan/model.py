@@ -4,12 +4,12 @@ their four loss functions, and the input pipeline.
 Layer plan: the encoder applies n_down stride-2 convolutions (kernel 4,
 padding 1), doubling channels from base_channels, with batch norm and leaky
 ReLU after every stage except that the first stage skips batch norm; a final
-dense layer (one GEMM over the flattened bottom activation) maps to the latent
-vector. The decoder mirrors this with transposed convolutions, batch norm and
-ReLU, ending in a plain affine transposed convolution so reconstructions are
-unbounded (no squashing). The discriminator is an encoder with a one-logit
-head read through a sigmoid; its flattened penultimate activation is the
-feature map used for feature matching.
+dense layer (one matmul over the flattened bottom activation) maps to the
+latent vector. The decoder mirrors this with transposed convolutions, batch
+norm and ReLU, ending in a plain affine transposed convolution so
+reconstructions are unbounded (no squashing). The discriminator is an
+encoder with a one-logit head read through a sigmoid; its flattened
+penultimate activation is the feature map used for feature matching.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .ndtensor import (
     l1_mean,
     l2_mean,
     leaky_relu,
+    matmul,
     relu,  # unused here since the decoder fuses ReLU into batch norm; perfbench wraps model.relu by name
     sigmoid,
 )
@@ -82,24 +83,22 @@ class ConvT(Conv):
 
 class Dense(Conv):
     """A head whose [O, C, L] kernel spans its whole [B, C, L] input: a dense
-    layer to [B, O], run as one kernel-1 convolution (a single GEMM) over the
-    flattened input. The kernel keeps its convolution shape in checkpoints."""
+    layer h[B, C*L] @ W[O, C*L].T + b to [B, O], as one matmul. The kernel
+    keeps its convolution shape in checkpoints."""
 
     def __call__(self, h: Tensor) -> Tensor:
-        batch, out_ch = h.shape[0], self.kernel.shape[0]
-        out = conv1d(h.reshape((batch, -1, 1)), self.kernel.reshape((out_ch, -1, 1)), self.bias)
-        return out.reshape((batch, out_ch))
+        flat = h.reshape((h.shape[0], -1))
+        return matmul(flat, self.kernel.reshape((self.kernel.shape[0], -1)), self.bias, transpose_w=True)
 
 
 class DenseT(ConvT):
     """The transposed head: [B, I] through an [I, O, L] kernel to [B, O, L],
-    as one kernel-1 transposed convolution."""
+    as one matmul z @ W[I, O*L]."""
 
     def __call__(self, z: Tensor) -> Tensor:
         in_ch, out_ch, length = self.kernel.shape
-        batch = z.shape[0]
-        out = conv_transpose1d(z.reshape((batch, in_ch, 1)), self.kernel.reshape((in_ch, -1, 1)), self.bias)
-        return out.reshape((batch, out_ch, length))
+        out = matmul(z, self.kernel.reshape((in_ch, -1)), self.bias)
+        return out.reshape((z.shape[0], out_ch, length))
 
 
 class BatchNorm:

@@ -11,6 +11,7 @@ from .nn import (
     l1_mean,
     l2_mean,
     leaky_relu,
+    matmul,
     relu,
     sigmoid,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "l1_mean",
     "l2_mean",
     "leaky_relu",
+    "matmul",
     "no_grad",
     "relu",
     "sigmoid",

@@ -1,5 +1,6 @@
-"""Differentiable neural-network primitives: 1-D convolutions, batch norm,
-activations, and the loss reductions the detector trains with."""
+"""Differentiable neural-network primitives: 1-D convolutions, a dense
+matmul, batch norm, activations, and the loss reductions the detector trains
+with."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from ..errors import DimensionError, UsageError
 from . import kernels
-from .tensor import Tensor, _lift, _make, clip
+from .tensor import Tensor, _lift, _make, _tracks, clip
 
 BCE_CLAMP = 1e-7  # predictions are clamped to [BCE_CLAMP, 1 - BCE_CLAMP] before logs
 BN_MOMENTUM = 0.1  # weight of a train-mode batch's statistics in the running stats
@@ -71,6 +72,25 @@ def conv_transpose1d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int
     return _make(out, (x, kernel) if bias is None else (x, kernel, bias), backward)
 
 
+def matmul(x: Tensor, w: Tensor, bias: Tensor | None = None, transpose_w: bool = False) -> Tensor:
+    """[B, I] @ w [I, O] -> [B, O], plus an optional bias [O]. With
+    ``transpose_w`` the weight is stored as [O, I] and read transposed."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"matmul expects 2-d input and weight, got {x.shape} and {w.shape}")
+    x_data = x.data
+    w_data = w.data.T if transpose_w else w.data
+    _check_channels(x.shape[1], w_data.shape[0], bias, w_data.shape[1])
+    out = x_data @ w_data
+    if bias is not None:
+        out += bias.data
+
+    def backward(g):
+        gw = g.T @ x_data if transpose_w else x_data.T @ g
+        return g @ w_data.T, gw, g.sum(axis=0)
+
+    return _make(out, (x, w) if bias is None else (x, w, bias), backward)
+
+
 @dataclass
 class BatchNormStats:
     """Per-channel running statistics, updated in train mode, used in eval."""
@@ -95,15 +115,18 @@ def batchnorm1d(
     slope: float | None = None,
 ) -> Tensor:
     """Normalize [B, C, L] per channel, apply the gamma/beta affine, then an
-    optional leaky ReLU (slope 0 is ReLU, None is no activation), as one node.
+    optional leaky ReLU (slope in [0, 1]; 0 is ReLU, None is no activation),
+    as one node.
 
     Train mode normalizes with batch statistics over (B, L) and folds them
     into the running stats with weight ``BN_MOMENTUM``; eval mode normalizes
     with the running stats, folded into one per-channel scale and shift.
     Both add ``BN_EPS`` to the variance. The backward pass is the
     closed form of Ioffe & Szegedy (2015), so train mode saves only the
-    normalized input, the per-channel inverse std and the activation mask.
+    normalized input, the per-channel inverse std and, when a backward can
+    run, the activation mask.
     """
+    _check_slope(slope)
     if x.data.ndim != 3:
         raise DimensionError(f"batchnorm1d expects [B, C, L], got {x.shape}")
     channels = x.shape[1]
@@ -114,6 +137,7 @@ def batchnorm1d(
 
     col = (1, channels, 1)
     x_data, gamma_data = x.data, gamma.data
+    keep_mask = _tracks((x, gamma, beta))
     if train:
         n = x_data.size // channels
         mu = x_data.mean(axis=(0, 2), keepdims=True)
@@ -127,7 +151,7 @@ def batchnorm1d(
         xhat *= inv_std
         np.multiply(xhat, gamma_data.reshape(col), out=out)
         out += beta.data.reshape(col)
-        neg = _activate(out, slope)
+        neg = _activate(out, slope, keep_mask)
 
         def backward(g):
             gy = _activation_grad(g, neg, slope)
@@ -149,7 +173,7 @@ def batchnorm1d(
     scale = gamma_data.reshape(col) * inv_std
     out = x_data * scale
     out += beta.data.reshape(col) - mean * scale
-    neg = _activate(out, slope)
+    neg = _activate(out, slope, keep_mask)
 
     def backward(g):
         gy = _activation_grad(g, neg, slope)
@@ -159,28 +183,35 @@ def batchnorm1d(
     return _make(out, (x, gamma, beta), backward)
 
 
-def _activate(out: np.ndarray, slope: float | None) -> np.ndarray | None:
-    """Leaky ReLU in place; returns the bool mask of scaled entries (x < 0,
-    so x == 0 passes with slope 1), or None when there is no activation."""
+def _check_slope(slope: float | None) -> None:
+    if slope is not None and not 0.0 <= slope <= 1.0:
+        raise UsageError(f"leaky ReLU slope must lie in [0, 1], got {slope}")
+
+
+def _activate(out: np.ndarray, slope: float | None, keep_mask: bool) -> np.ndarray | None:
+    """Leaky ReLU in place as max(x, slope * x), which is x if x >= 0 else
+    slope * x for a slope in [0, 1]. Returns the bool mask of scaled entries
+    (x < 0, so x == 0 passes with slope 1) when ``keep_mask`` is set, else
+    None; there is no mask without an activation."""
     if slope is None:
         return None
-    neg = out < 0
-    np.multiply(out, slope, out=out, where=neg)
+    neg = out < 0 if keep_mask else None
+    np.maximum(out, out * slope, out=out)
     return neg
 
 
 def _activation_grad(g: np.ndarray, neg: np.ndarray | None, slope: float | None) -> np.ndarray:
-    """A fresh copy of the incoming gradient, scaled where the forward was."""
-    gy = g.copy()
-    if neg is not None:
-        np.multiply(gy, slope, out=gy, where=neg)
-    return gy
+    """A fresh gradient array: the incoming one, scaled where the forward was."""
+    if neg is None:
+        return g.copy()
+    return g * np.array([1, slope], g.dtype).take(neg.view(np.uint8))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    """Elementwise x if x >= 0 else slope * x."""
+    """Elementwise x if x >= 0 else slope * x, for a slope in [0, 1]."""
+    _check_slope(slope)
     out = x.data.copy()
-    neg = _activate(out, slope)
+    neg = _activate(out, slope, _tracks((x,)))
 
     def backward(g):
         return (_activation_grad(g, neg, slope),)

@@ -186,10 +186,15 @@ def _check_unwalked(t: Tensor) -> None:
         raise UsageError("tensor already walked by backward(); build it again, or detach() the tensor")
 
 
+def _tracks(parents: tuple) -> bool:
+    """Whether an op on these parents joins the graph, so its backward can run."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """Wrap an op result, attaching graph links only when grad is live."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _tracks(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

@@ -70,6 +70,9 @@ class TrainConfig:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr < math.inf:
             raise UsageError(f"learning rate must be positive and finite, got {self.lr}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 < beta < 1:
+                raise UsageError(f"{name} must be finite and lie in (0, 1), got {beta}")
 
 
 @dataclass

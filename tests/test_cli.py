@@ -310,6 +310,20 @@ def test_train_non_finite_setting_is_usage_error(tmp_path, data_dir, capsys, fla
     assert list(tmp_path.iterdir()) == []  # no checkpoint, no training report
 
 
+@pytest.mark.parametrize("flag,value", [("--beta1", "nan"), ("--beta2", "inf"), ("--beta1", "1.5")])
+def test_train_bad_adam_beta_is_refused_before_any_work(tmp_path, data_dir, capsys, monkeypatch, flag, value):
+    def build_model(*args, **kwargs):
+        raise AssertionError("the networks were built before the betas were checked")
+
+    monkeypatch.setattr("faultgan.trainer.build_model", build_model)
+    path = tmp_path / "x.ckpt"
+    code = main(["train", "--data", str(data_dir / "normal_*.f32"), "--checkpoint", str(path), *FAST, flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert flag[2:] in err and value in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exits_3(tmp_path, data_dir, capsys):
     code = main(["train", "--data", str(data_dir / "normal_*.f32"),

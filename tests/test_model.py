@@ -9,6 +9,8 @@ from faultgan.errors import DimensionError, UsageError
 from faultgan.evaluator import score_dataset
 from faultgan.model import (
     Arch,
+    Dense,
+    DenseT,
     Discriminator,
     Generator,
     InputPipeline,
@@ -85,6 +87,47 @@ def test_decoder_output_is_unbounded():
     scale = 10.0 / peak
     out = g.decoder.forward(Tensor(np.full((1, 8), scale, dtype=np.float32)), train=False)
     assert np.abs(out.data).max() > 1.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _grads(head, x, weights):
+    """The head's output on x and the gradients of <output, weights>, as
+    (out, d/dx, d/dkernel[, d/dbias])."""
+    tx = Tensor(x, requires_grad=True)
+    out = head(tx)
+    (out * Tensor(weights)).sum().backward()
+    return [out.data, tx.grad] + [p.grad for p in head.params()]
+
+
+def test_dense_heads_match_the_kernel1_convolution_arithmetic():
+    # Before the heads were matmuls they ran as kernel-1 convolutions over a
+    # length-1 input, whose im2col is the flattened input: one GEMM over the
+    # whole batch each way, the input gradient scattered into zeros, and the
+    # transposed kernel's gradient a tensordot. The matmul heads must give
+    # those bits, or trained checkpoints would change.
+    rng = np.random.default_rng(3)
+    batch, channels, length, latent = 8, 128, 128, 32
+    h = rng.normal(size=(batch, channels, length)).astype(np.float32)
+    kernel = (0.02 * rng.normal(size=(latent, channels, length))).astype(np.float32)
+    bias = rng.normal(size=latent).astype(np.float32)
+    g = rng.normal(size=(batch, latent)).astype(np.float32)
+    got = _grads(Dense(Tensor(kernel, requires_grad=True), Tensor(bias, requires_grad=True)), h, g)
+    col, kmat = h.reshape(batch, -1), kernel.reshape(latent, -1)
+    want = [col @ kmat.T + bias, np.zeros_like(col) + g @ kmat, g.T @ col, g.sum(axis=0)]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a).reshape(-1), _bits(b).reshape(-1))
+
+    z = rng.normal(size=(batch, latent)).astype(np.float32)
+    kernel_t = (0.02 * rng.normal(size=(latent, channels, length))).astype(np.float32)
+    g_t = rng.normal(size=(batch, channels, length)).astype(np.float32)
+    got = _grads(DenseT(Tensor(kernel_t, requires_grad=True), None), z, g_t)
+    kmat_t, gmat = kernel_t.reshape(latent, -1), g_t.reshape(batch, -1)
+    want = [np.zeros_like(gmat) + z @ kmat_t, gmat @ kmat_t.T, np.tensordot(z[:, :, None], gmat[:, None], axes=([0, 2], [0, 1]))]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a).reshape(-1), _bits(b).reshape(-1))
 
 
 def test_discriminator_probability_and_features():

@@ -1,5 +1,6 @@
-"""Convolutions, batch norm, activations, and loss reductions: forward
-oracles, gradient checks, and the conv/conv-transpose adjoint identity."""
+"""Convolutions, the dense matmul, batch norm, activations, and loss
+reductions: forward oracles, gradient checks, and the conv/conv-transpose
+adjoint identity."""
 
 import math
 
@@ -19,6 +20,8 @@ from faultgan.ndtensor import (
     l1_mean,
     l2_mean,
     leaky_relu,
+    matmul,
+    no_grad,
     relu,
     sigmoid,
 )
@@ -203,7 +206,7 @@ def test_adjoint_identity(seed):
 
 @pytest.mark.parametrize("stride,padding,k,length", [
     (2, 1, 4, 16), (2, 1, 4, 750), (2, 1, 4, 2),  # the encoder/decoder pyramid
-    (1, 0, 8, 8), (1, 0, 750, 750), (1, 0, 1, 1),  # the full-length heads
+    (1, 0, 8, 8), (1, 0, 750, 750), (1, 0, 1, 1),  # kernels that span the whole input
 ])
 def test_adjoint_pair_is_bit_exact(stride, padding, k, length):
     # on exact-fit shapes each convolution's input gradient is the other's
@@ -222,6 +225,95 @@ def test_adjoint_pair_is_bit_exact(stride, padding, k, length):
     g_t = rng.normal(size=out_t.shape).astype(np.float32)
     grad_xt = kernels.conv_transpose1d_backward(g_t, xt, kern, stride, padding)[0]
     assert np.array_equal(grad_xt, kernels.conv1d_forward(g_t, kern, None, stride, padding)[0])
+
+
+def _windows64(x, k, stride, padding, out_len):
+    """Tap j of every window of the zero-padded input, as float64 [B, C, out_len] arrays."""
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (padding, padding)))
+    return [xp[:, :, j : j + (out_len - 1) * stride + 1 : stride] for j in range(k)]
+
+
+def _conv64(x, kern, stride, padding, out_len):
+    """Float64 convolution summed tap by tap, independent of the im2col layout."""
+    kern = np.asarray(kern, np.float64)
+    taps = _windows64(x, kern.shape[2], stride, padding, out_len)
+    return sum(np.einsum("oc,bcl->bol", kern[:, :, j], t) for j, t in enumerate(taps))
+
+
+def _conv_transpose64(x, kern, stride, padding):
+    """Float64 transposed convolution: each input position adds its k taps."""
+    kern = np.asarray(kern, np.float64)
+    b, _, length = x.shape
+    k = kern.shape[2]
+    full_len = (length - 1) * stride + k
+    full = np.zeros((b, kern.shape[1], full_len))
+    for j in range(k):
+        full[:, :, j : j + (length - 1) * stride + 1 : stride] += np.einsum("co,bcl->bol", kern[:, :, j], x)
+    return full[:, :, padding : full_len - padding]
+
+
+def _assert_close64(got, want):
+    # float32 sums of at most a few hundred products, against float64
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("stride,padding,k", [(2, 1, 4), (1, 0, 3)])
+@pytest.mark.parametrize("out_len", [24, 32, 64, 128])  # the short batched GEMMs take another BLAS path
+def test_conv_kernels_match_float64(out_len, stride, padding, k):
+    rng = np.random.default_rng(out_len + k)
+    b, c_in, c_out = 8, 16, 32
+    length = (out_len - 1) * stride + k - 2 * padding
+    x = rng.normal(size=(b, c_in, length)).astype(np.float32)
+    kern = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
+    out, col = kernels.conv1d_forward(x, kern, None, stride, padding)
+    assert out.shape == (b, c_out, out_len)
+    _assert_close64(out, _conv64(x, kern, stride, padding, out_len))
+    g = rng.normal(size=out.shape).astype(np.float32)
+    grad_x, grad_k, _ = kernels.conv1d_backward(g, x.shape, kern, col, stride, padding)
+    _assert_close64(grad_x, _conv_transpose64(g.astype(np.float64), kern, stride, padding))
+    taps = _windows64(x, k, stride, padding, out_len)
+    _assert_close64(grad_k, np.stack([np.einsum("bol,bcl->oc", g, t) for t in taps], axis=2))
+
+    # the transposed convolution maps [B, c_out, out_len] back to x's shape
+    out_t = kernels.conv_transpose1d_forward(g, kern, None, stride, padding)
+    _assert_close64(out_t, _conv_transpose64(g.astype(np.float64), kern, stride, padding))
+    g_t = rng.normal(size=out_t.shape).astype(np.float32)
+    grad_xt, grad_kt, _ = kernels.conv_transpose1d_backward(g_t, g, kern, stride, padding)
+    _assert_close64(grad_xt, _conv64(g_t, kern, stride, padding, out_len))
+    taps_t = _windows64(g_t, k, stride, padding, out_len)
+    _assert_close64(grad_kt, np.stack([np.einsum("bcl,bol->co", g, t) for t in taps_t], axis=2))
+
+
+# -- matmul --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("transpose_w", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_gradcheck_matmul(seed, transpose_w, with_bias):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 5))
+    w = rng.normal(size=(4, 5) if transpose_w else (5, 4))
+    b = rng.normal(size=4)
+    wgt = rng.normal(size=(3, 4))
+    tx, tw, tb = (Tensor(v, requires_grad=True) for v in (x, w, b))
+    out = matmul(tx, tw, tb if with_bias else None, transpose_w=transpose_w)
+    assert out.shape == (3, 4)
+
+    def reference(xv, wv, bv=0.0):
+        return ((xv @ (wv.T if transpose_w else wv) + bv) * wgt).sum()
+
+    inputs, arrays = ([tx, tw, tb], [x, w, b]) if with_bias else ([tx, tw], [x, w])
+    check_grads((out * Tensor(wgt)).sum(), inputs, reference, arrays)
+
+
+def test_matmul_shape_checks():
+    with pytest.raises(DimensionError, match="2-d"):
+        matmul(Tensor(np.ones((2, 3, 1))), Tensor(np.ones((3, 4))))
+    with pytest.raises(DimensionError, match="channels"):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), transpose_w=True)
+    with pytest.raises(DimensionError, match="bias"):
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
 
 
 # -- batchnorm1d ---------------------------------------------------------------
@@ -439,6 +531,48 @@ def test_leaky_relu_zero_passes_gradient():
     x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     leaky_relu(x, 0.2).sum().backward()
     np.testing.assert_allclose(x.grad, [0.2, 1.0, 1.0])
+
+
+def _where_form(x, g, slope):
+    """Leaky ReLU and its gradient as masked multiplies, the reference form."""
+    out, gy = x.copy(), g.copy()
+    neg = x < 0
+    np.multiply(out, slope, out=out, where=neg)
+    np.multiply(gy, slope, out=gy, where=neg)
+    return out, gy
+
+
+def _edge_values(rng, n):
+    """Both signs of exact zeros, subnormals, normals near the smallest, and ordinary values."""
+    f32 = np.finfo(np.float32)
+    special = np.array([0.0, f32.smallest_subnormal, 5 * f32.smallest_subnormal,
+                        f32.smallest_normal / 3, f32.smallest_normal, 1e-30, 1.0, 3e38], np.float32)
+    values = np.concatenate([special, rng.normal(size=n).astype(np.float32)])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_leaky_relu_is_bit_identical_to_masked_form(slope):
+    rng = np.random.default_rng(7)
+    x = _edge_values(rng, 40)
+    g = rng.permutation(_edge_values(rng, 40))
+    want_out, want_grad = _where_form(x, g, slope)
+    tx = Tensor(x, requires_grad=True)
+    out = leaky_relu(tx, slope)
+    (out * Tensor(g)).sum().backward()  # the product's gradient is g itself
+    assert np.array_equal(out.data.view(np.uint32), want_out.view(np.uint32))
+    assert np.array_equal(tx.grad.view(np.uint32), want_grad.view(np.uint32))
+    with no_grad():
+        assert np.array_equal(leaky_relu(Tensor(x), slope).data.view(np.uint32), want_out.view(np.uint32))
+
+
+@pytest.mark.parametrize("slope", [-0.2, 1.5, math.nan, math.inf])
+def test_slope_outside_unit_interval_is_refused(slope):
+    with pytest.raises(UsageError, match="slope"):
+        leaky_relu(Tensor([1.0, -1.0]), slope)
+    gamma, beta, stats = _bn_args(1)
+    with pytest.raises(UsageError, match="slope"):
+        batchnorm1d(Tensor([[[1.0, -1.0]]]), gamma, beta, stats, train=True, slope=slope)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
