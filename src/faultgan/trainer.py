@@ -11,10 +11,10 @@ update moves the parameters of both networks.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
+import mmap
+import os
 import struct
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +42,8 @@ from .ndtensor import Tensor, adam_step, init_adam
 from .signal_io import is_normal, write_atomic
 
 CHECKPOINT_MAGIC = b"SGD1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+CHECKPOINT_ALIGN = 64  # every stored array's data starts at a multiple of this, in the file and so in a mapping
 _MODES = ("raw", "features")  # the header's pipeline-mode codes
 
 
@@ -209,8 +210,11 @@ def write_train_report_csv(epochs: list[EpochStats], path) -> None:
 # subsample_len, window_len, latent_dim, base_channels, n_down), the
 # per-channel standardization mean and std (one value per channel of the
 # mode), and every generator array in traversal order as (u8 ndim, u32
-# dims..., float32 data), all little-endian. Everything else (channel count,
-# network length, feature-window count, array shapes) follows from the header.
+# dims..., zero padding up to the next multiple of 64 bytes, float32 data),
+# all little-endian. Everything else (channel count, network length,
+# feature-window count, array shapes) follows from the header. The padding
+# lets a loaded model use the arrays in a mapping of the file as they are:
+# numpy copies a matmul operand that is not aligned.
 
 
 def serialize_state(state: ModelState) -> bytes:
@@ -228,58 +232,56 @@ def serialize_state(state: ModelState) -> bytes:
     ))
     parts.append(pipe.standardizer.mean.astype("<f4").tobytes())
     parts.append(pipe.standardizer.std.astype("<f4").tobytes())
+    size = sum(map(len, parts))
     for arr in state.generator.arrays():
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        dims = struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        pad = -(size + len(dims)) % CHECKPOINT_ALIGN
+        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        parts += [dims, bytes(pad), data]
+        size += len(dims) + pad + len(data)
     return b"".join(parts)
 
 
 class _Reader:
-    """Reads a checkpoint from a binary stream; a short read is a DataFormatError."""
+    """Walks a checkpoint held in a buffer; a short read is a DataFormatError."""
 
-    def __init__(self, stream, origin: str):
-        self.stream = stream
+    def __init__(self, buf, origin: str):
+        self.buf = buf
         self.origin = origin
-        self.size = stream.seek(0, io.SEEK_END)
-        stream.seek(0)
+        self.pos = 0
 
     def left(self) -> int:
-        return self.size - self.stream.tell()
+        return len(self.buf) - self.pos
 
     def take(self, n: int) -> bytes:
-        chunk = self.stream.read(n)
-        if len(chunk) != n:
+        if n > self.left():
             raise DataFormatError(f"{self.origin}: truncated checkpoint")
-        return chunk
+        self.pos += n
+        return self.buf[self.pos - n : self.pos]
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape, mean=None, fill=0.0) -> np.ndarray:
         """The next stored array, as a loaded network's init (``mean`` and
-        ``fill`` unused): its recorded shape must be ``shape`` and its bytes
-        must be left in the file before it is allocated and read into."""
+        ``fill`` unused): its recorded shape must be ``shape``, and its
+        padding and data must be left in the buffer, before it is viewed."""
         (ndim,) = self.unpack("<B")
         dims = self.unpack(f"<{ndim}I")
         if dims != shape:
             raise DataFormatError(f"{self.origin}: tensor shape {dims} does not match architecture {shape}")
-        if 4 * math.prod(dims) > self.left():
+        pad = -self.pos % CHECKPOINT_ALIGN
+        if pad + 4 * math.prod(dims) > self.left():
             raise DataFormatError(f"{self.origin}: truncated checkpoint")
-        arr = np.empty(dims, dtype=np.float32)
-        if self.stream.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-            raise DataFormatError(f"{self.origin}: truncated checkpoint")
-        if sys.byteorder != "little":
-            arr.byteswap(inplace=True)
-        return arr
+        if any(self.take(pad)):
+            raise DataFormatError(f"{self.origin}: non-zero padding before the array at byte {self.pos}")
+        arr = np.frombuffer(self.buf, dtype="<f4", count=math.prod(dims), offset=self.pos)
+        self.pos += arr.nbytes
+        return arr.reshape(dims).astype(np.float32, copy=False)  # copies on a big-endian host only
 
 
-def deserialize_state(blob: bytes, origin: str = "checkpoint") -> ModelState:
-    return _read_state(io.BytesIO(blob), origin)
-
-
-def _read_state(stream, origin: str) -> ModelState:
-    r = _Reader(stream, origin)
+def _read_state(buf, origin: str) -> ModelState:
+    r = _Reader(buf, origin)
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{origin}: bad magic bytes (not a checkpoint)")
     (version,) = r.unpack("<H")
@@ -287,8 +289,8 @@ def _read_state(stream, origin: str) -> ModelState:
         raise DataFormatError(f"{origin}: unsupported version {version} (expected {CHECKPOINT_VERSION})")
     mode_code, subsample_len, window_len, latent, base, n_down = r.unpack("<BIIIII")
 
-    # every header field is checked before any generator array is read, and
-    # each array's shape and byte count before that array is allocated
+    # every header field is checked before any generator array is viewed, and
+    # each array's shape, padding and byte count before that array
     if mode_code >= len(_MODES) or not 1 <= n_down < 32:
         raise DataFormatError(  # n_down < 32 keeps 2^n_down and the network length within u32
             f"{origin}: corrupt checkpoint header: mode code {mode_code}, n_down {n_down}"
@@ -318,9 +320,15 @@ def save_checkpoint(state: ModelState, path) -> str:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Load a checkpoint without copying it: the generator's arrays are views
+    of a copy-on-write mapping of the file, so a write to them never reaches
+    the file. Replace a checkpoint in use, as ``save_checkpoint`` does: one
+    truncated in place under a live model ends in SIGBUS when read."""
     path = Path(path)
     try:
-        with open(path, "rb") as fh:  # each array is read straight from the file, not from a copy of it in memory
-            return _read_state(fh, str(path))
+        with open(path, "rb") as fh:  # the mapping holds its own descriptor
+            size = os.fstat(fh.fileno()).st_size
+            buf = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY) if size else b""  # mmap refuses an empty file
     except OSError as err:
         raise UsageError(f"cannot read checkpoint {path}: {err.strerror or err}") from err
+    return _read_state(buf, str(path))

@@ -12,13 +12,13 @@ import numpy as np
 from faultgan.features import Standardizer
 from faultgan.trainer import CHECKPOINT_MAGIC
 
-# the fixed header of a version-2 checkpoint, after the magic and the u16 version
+# the fixed header of a version-3 checkpoint, after the magic and the u16 version
 HEADER_FIELDS = ("mode", "subsample_len", "window_len", "latent_dim", "base_channels", "n_down")
 _HEADER_CODES = "BIIIII"
 
 
 def field_offset(name: str) -> tuple[int, str]:
-    """Byte offset and struct code of a header field of a version-2 checkpoint."""
+    """Byte offset and struct code of a header field of a version-3 checkpoint."""
     offset = len(CHECKPOINT_MAGIC) + 2
     for field_name, code in zip(HEADER_FIELDS, _HEADER_CODES):
         if field_name == name:

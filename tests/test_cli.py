@@ -465,7 +465,9 @@ def test_outputs_leave_no_temp_files(tmp_path, checkpoint, data_dir):
 
 def test_corrupt_checkpoint_exits_2(tmp_path, checkpoint, data_dir, capsys):
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(with_field(checkpoint.read_bytes(), "n_down", 0))
-    assert main(["score", "--checkpoint", str(bad), "--data", str(data_dir / "fault_*.f32"),
-                 "--out", str(tmp_path / "s.csv")]) == 2
-    assert str(bad) in capsys.readouterr().err
+    blob = checkpoint.read_bytes()
+    for content in (with_field(blob, "n_down", 0), b"", blob[:3]):  # an empty file cannot be mapped
+        bad.write_bytes(content)
+        assert main(["score", "--checkpoint", str(bad), "--data", str(data_dir / "fault_*.f32"),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert str(bad) in capsys.readouterr().err

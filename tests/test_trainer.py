@@ -1,9 +1,14 @@
 """Training loop contracts: normal-only gate, update scoping, determinism,
 NaN abort, and the checkpoint wire format."""
 
+import gc
+import hashlib
+import math
+import re
 import struct
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +21,11 @@ from faultgan.errors import DataFormatError, NumericalError, UsageError
 from faultgan.evaluator import score_dataset
 from faultgan.features import Standardizer
 from faultgan.model import InputPipeline, LossWeights, build_model, fit_pipeline
-from faultgan.signal_io import SynthSpec, Subsample, fault_label, subsample, synth
+from faultgan.signal_io import SynthSpec, Subsample, fault_label, subsample, synth, write_atomic
 from faultgan.trainer import (
+    CHECKPOINT_ALIGN,
     CHECKPOINT_MAGIC,
     TrainConfig,
-    deserialize_state,
     load_checkpoint,
     save_checkpoint,
     serialize_state,
@@ -204,6 +209,20 @@ def test_loss_finite_across_seeds():
 # -- checkpoints -----------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def load_blob(tmp_path_factory):
+    """Loads a checkpoint blob the way the CLI does, from a file. The file is
+    module-scoped, so @given tests can use it, and replaced, never rewritten
+    in place, because a model loaded from it earlier may still map it."""
+    path = tmp_path_factory.mktemp("checkpoint") / "model.ckpt"
+
+    def load(blob: bytes):
+        write_atomic(path, blob)
+        return load_checkpoint(path)
+
+    return load
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     state, _ = train(_tiny_config(), _normal_subs(16))
     path = tmp_path / "model.ckpt"
@@ -250,21 +269,22 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_unsupported_version(tmp_path):
+def test_checkpoint_unsupported_version(load_blob):
     state, _ = train(_tiny_config(), _normal_subs(16))
     blob = bytearray(serialize_state(state))
-    for version in (1, 99):  # version 1 also stored the discriminator and header fields v2 derives
+    # version 1 also stored the discriminator and header fields v2 derives; v2 did not align its arrays
+    for version in (1, 2, 99):
         blob[4:6] = version.to_bytes(2, "little")
         with pytest.raises(DataFormatError, match=f"unsupported version {version} "):
-            deserialize_state(bytes(blob))
+            load_blob(bytes(blob))
     assert blob[:4] == CHECKPOINT_MAGIC
 
 
-def test_checkpoint_truncated(tmp_path):
+def test_checkpoint_truncated(load_blob):
     state, _ = train(_tiny_config(), _normal_subs(16))
     blob = serialize_state(state)
     with pytest.raises(DataFormatError, match="truncated"):
-        deserialize_state(blob[: len(blob) // 2])
+        load_blob(blob[: len(blob) // 2])
 
 
 def test_optimizer_state_not_persisted():
@@ -276,14 +296,17 @@ def test_optimizer_state_not_persisted():
     assert len(blob) < n_param_bytes + 4096  # header only, no moment buffers
 
 
-def test_checkpoint_holds_only_the_generator():
+def test_checkpoint_holds_only_the_generator(load_blob):
     state, _ = train(_tiny_config(), _normal_subs(16))
     blob = serialize_state(state)
     header = len(CHECKPOINT_MAGIC) + 2 + 1 + 5 * 4
     stats = 2 * 4 * state.generator.arch.input_channels
-    arrays = sum(1 + 4 * a.ndim + 4 * a.size for a in state.generator.arrays())
-    assert len(blob) == header + stats + arrays
-    loaded = deserialize_state(blob)
+    size = header + stats
+    for a in state.generator.arrays():
+        size += 1 + 4 * a.ndim
+        size += -size % CHECKPOINT_ALIGN + 4 * a.size  # zero padding, then the data
+    assert len(blob) == size
+    loaded = load_blob(blob)
     assert loaded.discriminator is None
     assert [a.tobytes() for a in loaded.generator.arrays()] == [a.tobytes() for a in state.generator.arrays()]
 
@@ -360,13 +383,22 @@ def test_load_missing_checkpoint_is_usage_error(tmp_path):
         load_checkpoint(tmp_path / "nothing.ckpt")
     with pytest.raises(UsageError, match="cannot read"):
         load_checkpoint(tmp_path)  # a directory
+    (tmp_path / "dir.ckpt").mkdir()
+    for path in (tmp_path / "dir.ckpt", tmp_path / "missing" / "model.ckpt"):
+        with pytest.raises(UsageError, match=f"cannot read checkpoint {re.escape(str(path))}"):
+            load_checkpoint(path)
 
 
 def test_load_checkpoint_checks_file_length(tmp_path, small_blobs):
-    # load_checkpoint reads arrays from the file itself, so its length checks
-    # are the file's, not those of a blob in memory
+    # load_checkpoint maps the file itself, so its length checks are the
+    # file's, not those of a blob in memory; an empty file cannot be mapped
     path = tmp_path / "model.ckpt"
-    for blob, match in ((small_blobs[0][:-1], "truncated"), (small_blobs[0] + b"\0", "1 trailing bytes")):
+    for blob, match in (
+        (small_blobs[0][:-1], "truncated"),
+        (small_blobs[0] + b"\0", "1 trailing bytes"),
+        (b"", "truncated"),
+        (small_blobs[0][:3], "truncated"),
+    ):
         path.write_bytes(blob)
         with pytest.raises(DataFormatError, match=match):
             load_checkpoint(path)
@@ -394,36 +426,36 @@ def small_blobs():
     ("mode", 7),
     ("window_len", 3),
 ])
-def test_corrupt_header_field_is_format_error(small_blobs, name, value):
+def test_corrupt_header_field_is_format_error(small_blobs, load_blob, name, value):
     with pytest.raises(DataFormatError):
-        deserialize_state(with_field(small_blobs[0], name, value))
+        load_blob(with_field(small_blobs[0], name, value))
 
 
 @pytest.mark.parametrize("name,value", [
     ("latent_dim", 2**30), ("base_channels", 2**30), ("subsample_len", 2**31), ("n_down", 31),
 ])
-def test_corrupt_header_is_refused_before_its_arrays_are_allocated(small_blobs, name, value):
+def test_corrupt_header_is_refused_before_its_arrays_are_allocated(small_blobs, load_blob, name, value):
     # each header implies gigabytes of arrays; the reader must refuse it
     # having allocated no more than a small multiple of the file itself
     blob = with_field(small_blobs[0], name, value)
     tracemalloc.start()
     try:
         with pytest.raises(DataFormatError):
-            deserialize_state(blob)
+            load_blob(blob)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(blob)
 
 
-def test_header_n_windows_checked_in_features_mode(small_blobs):
-    assert deserialize_state(small_blobs[1]).pipeline.n_windows == 32
+def test_header_n_windows_checked_in_features_mode(small_blobs, load_blob):
+    assert load_blob(small_blobs[1]).pipeline.n_windows == 32
     # window 20 gives 16 windows: a shorter network than the stored arrays
     with pytest.raises(DataFormatError, match="does not match architecture"):
-        deserialize_state(with_field(small_blobs[1], "window_len", 20))
+        load_blob(with_field(small_blobs[1], "window_len", 20))
     for bad_window in (1, 321):  # shorter than 2 samples, longer than the subsample
         with pytest.raises(DataFormatError, match="corrupt checkpoint header"):
-            deserialize_state(with_field(small_blobs[1], "window_len", bad_window))
+            load_blob(with_field(small_blobs[1], "window_len", bad_window))
 
 
 @st.composite
@@ -442,7 +474,7 @@ def _geometries(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(geometry=_geometries(), latent=st.integers(1, 4), base=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_pipeline_geometry_survives_checkpoint(geometry, latent, base, seed):
+def test_pipeline_geometry_survives_checkpoint(load_blob, geometry, latent, base, seed):
     mode, subsample_len, window_len, n_down = geometry
     pipe = InputPipeline(mode, subsample_len, window_len, n_down)
     seq_len = subsample_len if mode == "raw" else subsample_len // window_len
@@ -453,7 +485,7 @@ def test_pipeline_geometry_survives_checkpoint(geometry, latent, base, seed):
     pipe.standardizer = Standardizer(mean=rng.normal(size=pipe.channels).astype(np.float32),
                                      std=rng.uniform(0.5, 2.0, pipe.channels).astype(np.float32))
     blob = serialize_state(build_model(pipe, latent, base, n_down, seed))
-    loaded = deserialize_state(blob)
+    loaded = load_blob(blob)
     assert serialize_state(loaded) == blob
     assert (loaded.pipeline.n_windows, loaded.pipeline.net_len) == (pipe.n_windows, pipe.net_len)
 
@@ -462,47 +494,127 @@ def test_pipeline_geometry_survives_checkpoint(geometry, latent, base, seed):
 @pytest.mark.parametrize("part,value", [
     ("std", 0.0), ("std", np.nan), ("std", np.inf), ("std", -1.0), ("mean", np.nan),
 ])
-def test_corrupt_standardizer_is_format_error(small_blobs, which, part, value):
+def test_corrupt_standardizer_is_format_error(small_blobs, load_blob, which, part, value):
     # zero, negative or non-finite spreads and non-finite means would load and
     # give NaN, constant or plausible but wrong scores
     blob = bytearray(small_blobs[which])
-    channels = deserialize_state(small_blobs[which]).pipeline.channels
+    channels = load_blob(small_blobs[which]).pipeline.channels
     mean_offset = field_offset("n_down")[0] + 4  # the statistics follow the header
     struct.pack_into("<f", blob, mean_offset + (4 * channels if part == "std" else 0), value)
     with pytest.raises(DataFormatError, match="corrupt standardizer"):
-        deserialize_state(bytes(blob))
+        load_blob(bytes(blob))
 
 
-def _loads_or_format_error(blob: bytes) -> None:
+def _loads_or_format_error(load_blob, blob: bytes) -> None:
     try:
-        deserialize_state(blob)
+        load_blob(blob)
     except DataFormatError:
         pass
 
 
 @settings(max_examples=150, deadline=None)
 @given(which=st.integers(0, 1), data=st.data())
-def test_fuzz_truncation(small_blobs, which, data):
+def test_fuzz_truncation(small_blobs, load_blob, which, data):
     blob = small_blobs[which]
     cut = data.draw(st.integers(0, len(blob) - 1))
     with pytest.raises(DataFormatError):
-        deserialize_state(blob[:cut])
+        load_blob(blob[:cut])
 
 
 @settings(max_examples=150, deadline=None)
 @given(which=st.integers(0, 1), data=st.data())
-def test_fuzz_byte_flips(small_blobs, which, data):
+def test_fuzz_byte_flips(small_blobs, load_blob, which, data):
     blob = bytearray(small_blobs[which])
     flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)), min_size=1, max_size=4))
     for index, mask in flips:
         blob[index] ^= mask
-    _loads_or_format_error(bytes(blob))
+    _loads_or_format_error(load_blob, bytes(blob))
 
 
 @settings(max_examples=300, deadline=None)
 @given(which=st.integers(0, 1), name=st.sampled_from(HEADER_FIELDS), data=st.data())
-def test_fuzz_header_values(small_blobs, which, name, data):
+def test_fuzz_header_values(small_blobs, load_blob, which, name, data):
     limit = 255 if name == "mode" else 2**32 - 1
     edges = [v for v in (0, 1, 2, 2**30, 2**31, limit) if v <= limit]
     value = data.draw(st.integers(0, 64) | st.integers(0, limit) | st.sampled_from(edges))
-    _loads_or_format_error(with_field(small_blobs[which], name, value))
+    _loads_or_format_error(load_blob, with_field(small_blobs[which], name, value))
+
+
+# -- the aligned layout and the copy-on-write mapping -------------------------------
+
+
+def _array_layout(blob: bytes, channels: int) -> list[tuple[int, int]]:
+    """(padding start, data offset) of each stored array, walking the blob
+    by its record headers alone."""
+    pos = field_offset("n_down")[0] + 4 + 8 * channels  # the arrays follow the standardizer
+    layout = []
+    while pos < len(blob):
+        ndim = blob[pos]
+        dims = struct.unpack_from(f"<{ndim}I", blob, pos + 1)
+        pad_start = pos + 1 + 4 * ndim
+        pos = pad_start + -pad_start % CHECKPOINT_ALIGN
+        layout.append((pad_start, pos))
+        pos += 4 * math.prod(dims)
+    assert pos == len(blob)
+    return layout
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_checkpoint_arrays_are_64_byte_aligned(small_blobs, load_blob, which):
+    blob = small_blobs[which]
+    loaded = load_blob(blob)
+    arrays = loaded.generator.arrays()
+    layout = _array_layout(blob, loaded.pipeline.channels)
+    assert len(layout) == len(arrays)
+    for (pad_start, offset), arr in zip(layout, arrays):
+        assert offset % 64 == 0 and offset - pad_start < 64
+        assert blob[pad_start:offset] == bytes(offset - pad_start)
+        assert blob[offset : offset + arr.nbytes] == arr.astype("<f4").tobytes()
+        assert arr.ctypes.data % 64 == 0  # the mapping starts on a page, so offsets are addresses
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_nonzero_padding_is_format_error(small_blobs, load_blob, which):
+    channels = load_blob(small_blobs[which]).pipeline.channels
+    blob = bytearray(small_blobs[which])
+    offset = next(o for p, o in _array_layout(blob, channels) if o > p)  # the first array with padding
+    blob[offset - 1] = 1
+    with pytest.raises(DataFormatError, match=f"non-zero padding before the array at byte {offset}"):
+        load_blob(bytes(blob))
+
+
+def test_writes_to_a_loaded_model_never_reach_its_file(tmp_path, small_blobs):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(small_blobs[0])
+    digest = hashlib.sha256(small_blobs[0]).hexdigest()
+    loaded = load_checkpoint(path)
+    for arr in loaded.generator.arrays():
+        assert arr.flags.writeable
+        arr += 1.0
+    assert serialize_state(loaded) != small_blobs[0]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_saving_over_a_live_models_checkpoint_keeps_its_scores(tmp_path):
+    subs = _normal_subs(8)
+    pipeline = fit_pipeline(subs, "raw", 64, 0, 3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(pipeline, 4, 4, 3, seed=0), path)
+    loaded = load_checkpoint(path)
+    before = [(s.score, s.l_apparent, s.l_latent) for s in score_dataset(loaded, subs)]
+    save_checkpoint(build_model(pipeline, 4, 4, 3, seed=1), path)  # replaces the file the model maps
+    assert [(s.score, s.l_apparent, s.l_latent) for s in score_dataset(loaded, subs)] == before
+    assert load_checkpoint(path).generator.arrays()[0].tobytes() != loaded.generator.arrays()[0].tobytes()
+
+
+def test_a_dropped_model_unmaps_its_checkpoint(tmp_path, small_blobs):
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps on this platform")
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(small_blobs[0])
+    loaded = load_checkpoint(path)
+    assert str(path) in maps.read_text()
+    del loaded
+    gc.collect()
+    assert str(path) not in maps.read_text()
