@@ -10,6 +10,14 @@ added at their positions), each once as a forward and once as an input
 gradient. Both take and return activations as [B, channels, positions]: each
 is one batched matmul whose result is already in that layout, so neither
 transposes an activation.
+
+``_gather``'s im2col matrix ``col`` is tap-major, [C*k, B, positions]: row
+c*k + j holds tap j of channel c for every item and window position. It is
+filled by one strided copy per tap whose rows are a whole item long and unit
+stride, and only the window positions that fall in the padding are zeroed, so
+the input is never padded. Each item's [C*k, positions] block is a strided
+view that numpy hands to BLAS without a copy, and the kernel gradients read
+``col`` as one transposed [B*positions, C*k] operand.
 """
 
 from __future__ import annotations
@@ -18,17 +26,39 @@ import numpy as np
 
 
 def _gather(x, kmat, k: int, stride: int, padding: int, out_len: int):
-    """Pad x [B, C, L], take its out_len windows as col [B, out_len, C*k] and
-    multiply kmat [O, C*k] by each item's windows; returns
-    (out [B, O, out_len], col)."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
-    b, c, _ = xp.shape
-    sb, sc, sl = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, c, out_len, k), strides=(sb, sc, sl * stride, sl)
-    )
-    col = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(b, out_len, c * k)
-    return np.matmul(kmat, col.transpose(0, 2, 1)), col
+    """Take the out_len windows of x [B, C, L], zero-padded by ``padding`` at
+    both ends, as col [C*k, B, out_len] and multiply kmat [O, C*k] by each
+    item's windows; returns (out [B, O, out_len], col).
+
+    Window t's tap j reads x at t*stride + j - padding. For each tap the
+    windows [lo, hi) read x, in one copy of x[:, :, lo*stride + j - padding ::
+    stride]; the windows before lo and from hi on read padding and are zeroed.
+    With padding >= k - 1 a tap can read padding in every window.
+
+    The product has the bits of kmat times the window-major [B, out_len,
+    C*k] matrix transposed, the layout ``col`` had before, wherever BLAS
+    takes the same path for a row-major operand as for a transposed one.
+    OpenBLAS 0.3.31 does with every kernel family once an item is more than
+    1e6 multiply-adds, and at every size with its AVX2 (Haswell) kernels.
+    Its AVX-512 (SkylakeX) small-matrix kernels, which take the items of at
+    most 1e6, sum many of those in another order, feature mode's stages
+    among them. The raw pyramid keeps its bits at 2048 and 12000 samples:
+    its one-channel input stage did at every length measured, and each
+    later stage is at least 32*64*512 multiply-adds per item.
+    """
+    b, c, length = x.shape
+    col = np.empty((c, k, b, out_len), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2)  # [C, B, L] view
+    for j in range(k):
+        lo = min(out_len, max(0, -((j - padding) // stride)))
+        hi = max(lo, min(out_len, (length - 1 + padding - j) // stride + 1))
+        if hi > lo:
+            start = lo * stride + j - padding
+            col[:, j, :, lo:hi] = xt[:, :, start : start + (hi - lo - 1) * stride + 1 : stride]
+        col[:, j, :, :lo] = 0
+        col[:, j, :, hi:] = 0
+    col = col.reshape(c * k, b, out_len)
+    return np.matmul(kmat, col.transpose(1, 0, 2)), col
 
 
 def _scatter(g, kmat, k: int, stride: int, padding: int, full_len: int):
@@ -60,7 +90,7 @@ def conv1d_backward(grad_out, x_shape, kernel, col, stride: int, padding: int):
     c_out, _, k = kernel.shape
     # the kernel gradient sums over every (item, position) in one GEMM
     gmat = np.ascontiguousarray(grad_out.transpose(0, 2, 1)).reshape(-1, c_out)
-    grad_kernel = (gmat.T @ col.reshape(gmat.shape[0], -1)).reshape(kernel.shape)
+    grad_kernel = (gmat.T @ col.reshape(col.shape[0], -1).T).reshape(kernel.shape)
     grad_x = _scatter(grad_out, kernel.reshape(c_out, -1), k, stride, padding, length + 2 * padding)
     return grad_x, grad_kernel, grad_out.sum(axis=(0, 2))
 
@@ -78,10 +108,9 @@ def conv_transpose1d_forward(x, kernel, bias, stride: int, padding: int):
 
 def conv_transpose1d_backward(grad_out, x, kernel, stride: int, padding: int):
     """Gradients of conv_transpose1d_forward w.r.t. (x, kernel, bias)."""
-    b, c_in, length = x.shape
+    _, c_in, length = x.shape
     _, c_out, k = kernel.shape
     grad_x, col = _gather(grad_out, kernel.reshape(c_in, -1), k, stride, padding, length)
-    grad_kernel = np.tensordot(
-        x, col.reshape(b, length, c_out, k), axes=([0, 2], [0, 1])
-    )  # [Ci, Co, k]
+    xmat = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(c_in, -1)
+    grad_kernel = (xmat @ col.reshape(c_out * k, -1).T).reshape(kernel.shape)
     return grad_x, grad_kernel, grad_out.sum(axis=(0, 2))

@@ -254,7 +254,37 @@ def _conv_transpose64(x, kern, stride, padding):
 
 def _assert_close64(got, want):
     # float32 sums of at most a few hundred products, against float64
+    assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def _check_kernels_float64(x, kern, stride, padding):
+    """Every conv kernel on x [B, Ci, L] and kern [Co, Ci, k] against the
+    float64 oracles; the transposed convolution maps the conv's output shape
+    back to x's length, less what the stride leaves over."""
+    k = kern.shape[2]
+    rng = np.random.default_rng(x.shape[2])
+    out, col = kernels.conv1d_forward(x, kern, None, stride, padding)
+    out_len = out.shape[2]
+    _assert_close64(out, _conv64(x, kern, stride, padding, out_len))
+    g = rng.normal(size=out.shape).astype(np.float32)
+    grad_x, grad_k, _ = kernels.conv1d_backward(g, x.shape, kern, col, stride, padding)
+    # uncropped, the transposed convolution holds every padded input a window
+    # reads; inputs past the last window's reach get no gradient
+    reach = _conv_transpose64(g.astype(np.float64), kern, stride, 0)[:, :, padding : padding + x.shape[2]]
+    want_x = np.zeros(x.shape)
+    want_x[:, :, : reach.shape[2]] = reach
+    _assert_close64(grad_x, want_x)
+    taps = _windows64(x, k, stride, padding, out_len)
+    _assert_close64(grad_k, np.stack([np.einsum("bol,bcl->oc", g, t) for t in taps], axis=2))
+
+    out_t = kernels.conv_transpose1d_forward(g, kern, None, stride, padding)
+    _assert_close64(out_t, _conv_transpose64(g.astype(np.float64), kern, stride, padding))
+    g_t = rng.normal(size=out_t.shape).astype(np.float32)
+    grad_xt, grad_kt, _ = kernels.conv_transpose1d_backward(g_t, g, kern, stride, padding)
+    _assert_close64(grad_xt, _conv64(g_t, kern, stride, padding, out_len))
+    taps_t = _windows64(g_t, k, stride, padding, out_len)
+    _assert_close64(grad_kt, np.stack([np.einsum("bcl,bol->co", g, t) for t in taps_t], axis=2))
 
 
 @pytest.mark.parametrize("stride,padding,k", [(2, 1, 4), (1, 0, 3)])
@@ -265,23 +295,84 @@ def test_conv_kernels_match_float64(out_len, stride, padding, k):
     length = (out_len - 1) * stride + k - 2 * padding
     x = rng.normal(size=(b, c_in, length)).astype(np.float32)
     kern = rng.normal(size=(c_out, c_in, k)).astype(np.float32)
-    out, col = kernels.conv1d_forward(x, kern, None, stride, padding)
-    assert out.shape == (b, c_out, out_len)
-    _assert_close64(out, _conv64(x, kern, stride, padding, out_len))
-    g = rng.normal(size=out.shape).astype(np.float32)
-    grad_x, grad_k, _ = kernels.conv1d_backward(g, x.shape, kern, col, stride, padding)
-    _assert_close64(grad_x, _conv_transpose64(g.astype(np.float64), kern, stride, padding))
-    taps = _windows64(x, k, stride, padding, out_len)
-    _assert_close64(grad_k, np.stack([np.einsum("bol,bcl->oc", g, t) for t in taps], axis=2))
+    assert kernels.conv1d_forward(x, kern, None, stride, padding)[0].shape == (b, c_out, out_len)
+    _check_kernels_float64(x, kern, stride, padding)
 
-    # the transposed convolution maps [B, c_out, out_len] back to x's shape
-    out_t = kernels.conv_transpose1d_forward(g, kern, None, stride, padding)
-    _assert_close64(out_t, _conv_transpose64(g.astype(np.float64), kern, stride, padding))
-    g_t = rng.normal(size=out_t.shape).astype(np.float32)
-    grad_xt, grad_kt, _ = kernels.conv_transpose1d_backward(g_t, g, kern, stride, padding)
-    _assert_close64(grad_xt, _conv64(g_t, kern, stride, padding, out_len))
-    taps_t = _windows64(g_t, k, stride, padding, out_len)
-    _assert_close64(grad_kt, np.stack([np.einsum("bcl,bol->co", g, t) for t in taps_t], axis=2))
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("padding", [0, 1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv_kernels_match_float64_at_every_geometry(stride, padding, k):
+    # the gather fills each tap's windows that read the input and zeroes the
+    # rest; with padding >= k - 1 a tap reads only padding in its first and
+    # last windows, and lengths the stride does not tile leave inputs unread
+    rng = np.random.default_rng(100 * stride + 10 * padding + k)
+    kern = rng.normal(size=(4, 3, k)).astype(np.float32)
+    for length in (k + 2, k + 5):  # one odd and one even length for every k
+        x = rng.normal(size=(2, 3, length)).astype(np.float32)
+        _check_kernels_float64(x, kern, stride, padding)
+
+
+def _gather_window_major(x, kmat, k, stride, padding, out_len):
+    """The im2col the kernels used before ``col`` was tap-major: pad x, copy
+    its windows as [B, out_len, C*k] and multiply kmat by each item's
+    transpose."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    b, c, _ = xp.shape
+    sb, sc, sl = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, shape=(b, c, out_len, k), strides=(sb, sc, sl * stride, sl))
+    col = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(b, out_len, c * k)
+    return np.matmul(kmat, col.transpose(0, 2, 1)), col
+
+
+def _pyramid_stage(rng, c_in, out_len, batch=8):
+    """Input and kernel of one stride-2, kernel-4 encoder stage, whose output
+    channels double its input's (16 from one input channel)."""
+    c_out = 16 if c_in == 1 else 2 * c_in
+    x = rng.normal(size=(batch, c_in, 2 * out_len)).astype(np.float32)
+    kern = rng.normal(size=(c_out, c_in, 4)).astype(np.float32)
+    return x, kern
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("c_in", [1, 16, 64])
+@pytest.mark.parametrize("out_len", [64, 128, 1024])
+def test_conv_forward_matches_the_window_major_gather(out_len, c_in):
+    # raw-mode checkpoints keep their bits only if every forward GEMM of the
+    # pyramid does: BLAS must sum each output in the same order for the
+    # tap-major col as for the old window-major one. OpenBLAS's AVX-512
+    # small-matrix kernels, which take items of at most 1e6 multiply-adds,
+    # do not at some shapes (see kernels._gather)
+    x, kern = _pyramid_stage(np.random.default_rng(out_len + c_in), c_in, out_len)
+    out, col = kernels.conv1d_forward(x, kern, None, 2, 1)
+    want, want_col = _gather_window_major(x, kern.reshape(kern.shape[0], -1), 4, 2, 1, out_len)
+    _assert_same_bits(out, want)
+    assert col.nbytes == want_col.nbytes  # the benchmark tracer reports it as im2col_mb
+
+
+@pytest.mark.parametrize("c_in", [1, 16, 64])
+@pytest.mark.parametrize("out_len", [24, 32, 64, 128])
+def test_conv_kernel_gradients_match_the_window_major_gather(out_len, c_in):
+    # each kernel gradient is one GEMM over every (item, position); it must
+    # give the bits of the same GEMM over the window-major col
+    rng = np.random.default_rng(out_len + c_in)
+    x, kern = _pyramid_stage(rng, c_in, out_len)
+    c_out = kern.shape[0]
+    _, col = kernels.conv1d_forward(x, kern, None, 2, 1)
+    _, want_col = _gather_window_major(x, kern.reshape(c_out, -1), 4, 2, 1, out_len)
+    g = rng.normal(size=(x.shape[0], c_out, out_len)).astype(np.float32)
+    grad_k = kernels.conv1d_backward(g, x.shape, kern, col, 2, 1)[1]
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, c_out)
+    _assert_same_bits(grad_k, (gmat.T @ want_col.reshape(gmat.shape[0], -1)).reshape(kern.shape))
+
+    # the decoder stage that undoes this one: kernel [c_out, c_in, 4] maps g back to x's length
+    grad_kt = kernels.conv_transpose1d_backward(x, g, kern, 2, 1)[1]
+    want = np.tensordot(g, want_col.reshape(x.shape[0], out_len, c_in, 4), axes=([0, 2], [0, 1]))
+    _assert_same_bits(grad_kt, want)
 
 
 # -- matmul --------------------------------------------------------------------
